@@ -1090,17 +1090,3 @@ func cmdCrisp(args []string) error {
 	fmt.Print(p.Report())
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

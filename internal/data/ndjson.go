@@ -1,6 +1,7 @@
 package data
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"unicode/utf16"
@@ -15,7 +16,10 @@ import (
 // rejects duplicates per row. Speed: one row costs a single left-to-right
 // pass with no intermediate map, no interface boxing and no reflection,
 // which matters once the compiled inference engine makes parsing, not
-// scoring, the streaming hot path.
+// scoring, the streaming hot path. Within that pass each byte is read once
+// on the common path: a key in schema order matches its pre-quoted name in
+// one comparison, and a number is grammar-checked and converted in the
+// same scan. Every other key or number falls through to the general code.
 //
 // The accepted value grammar matches the documented feed format (numbers,
 // strings, true/false, null; objects and arrays are rejected as
@@ -29,15 +33,18 @@ type lineScanner struct {
 	pos int
 }
 
-// skipSpace advances past JSON whitespace.
+// isJSONSpace reports whether c is JSON whitespace: space, tab, LF or CR.
+// Every other byte above ' ' fails the first comparison.
+func isJSONSpace(c byte) bool {
+	return c <= ' ' && (c == ' ' || c == '\t' || c == '\n' || c == '\r')
+}
+
+// skipSpace advances past JSON whitespace. When the next byte is not
+// whitespace, the common case between tokens, it returns after one
+// comparison.
 func (s *lineScanner) skipSpace() {
-	for s.pos < len(s.buf) {
-		switch s.buf[s.pos] {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
-			return
-		}
+	for s.pos < len(s.buf) && isJSONSpace(s.buf[s.pos]) {
+		s.pos++
 	}
 }
 
@@ -200,63 +207,101 @@ func numberChar(c byte) bool {
 	return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
-// validJSONNumber checks the RFC 8259 number grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. strconv.ParseFloat is
-// wider ("01", "1.", "1.e5"), and the reader documents strict parsing —
-// a malformed producer must fail here, not at the next JSON tool
-// downstream.
-func validJSONNumber(tok []byte) bool {
-	i := 0
-	if i < len(tok) && tok[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(tok) && tok[i] == '0':
-		i++
-	case i < len(tok) && tok[i] >= '1' && tok[i] <= '9':
-		for i < len(tok) && tok[i] >= '0' && tok[i] <= '9' {
-			i++
-		}
-	default:
-		return false
-	}
-	if i < len(tok) && tok[i] == '.' {
-		i++
-		if i >= len(tok) || tok[i] < '0' || tok[i] > '9' {
-			return false
-		}
-		for i < len(tok) && tok[i] >= '0' && tok[i] <= '9' {
-			i++
-		}
-	}
-	if i < len(tok) && (tok[i] == 'e' || tok[i] == 'E') {
-		i++
-		if i < len(tok) && (tok[i] == '+' || tok[i] == '-') {
-			i++
-		}
-		if i >= len(tok) || tok[i] < '0' || tok[i] > '9' {
-			return false
-		}
-		for i < len(tok) && tok[i] >= '0' && tok[i] <= '9' {
-			i++
-		}
-	}
-	return i == len(tok)
+// isDigit reports whether c is an ASCII decimal digit.
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// scanNumber consumes a number token and parses it.
+// maxExactMantissa is the largest decimal mantissa scanNumber scales
+// itself: every integer up to 2^53 is exact in a float64.
+const maxExactMantissa = 1 << 53
+
+// scanNumber consumes a number token and parses it in one scan. The token
+// is the longest run of number bytes, as a tokenizer would split it, and
+// must match the RFC 8259 grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. strconv.ParseFloat is
+// wider ("01", "1.", "1.e5"), and the reader documents strict parsing — a
+// malformed producer must fail here, not at the next JSON tool downstream.
+//
+// The scan accumulates the decimal mantissa as it checks the grammar.
+// When the mantissa is at most 2^53 and the decimal exponent within ±22,
+// both factors are exact float64s and one correctly rounded multiply or
+// divide gives the exact-case answer of Clinger's algorithm, bit-identical
+// to ParseFloat's. Every other token goes to ParseFloat.
 func (s *lineScanner) scanNumber() (float64, error) {
-	start := s.pos
-	for s.pos < len(s.buf) && numberChar(s.buf[s.pos]) {
-		s.pos++
+	buf, start := s.buf, s.pos
+	i := start
+	neg := i < len(buf) && buf[i] == '-'
+	if neg {
+		i++
 	}
-	tok := s.buf[start:s.pos]
-	if !validJSONNumber(tok) {
-		return 0, fmt.Errorf("malformed number %q at offset %d", tok, start)
+	var mant uint64 // stops growing once past maxExactMantissa
+	exp := 0        // decimal exponent applied to mant
+	valid := i < len(buf) && isDigit(buf[i])
+	if valid && buf[i] == '0' {
+		i++ // a leading 0 is the whole integer part: "01" fails below
+	} else {
+		for ; i < len(buf) && isDigit(buf[i]); i++ {
+			if mant <= maxExactMantissa {
+				mant = mant*10 + uint64(buf[i]-'0')
+			}
+		}
 	}
-	v, err := strconv.ParseFloat(string(tok), 64)
+	if valid && i < len(buf) && buf[i] == '.' {
+		i++
+		valid = i < len(buf) && isDigit(buf[i])
+		for ; i < len(buf) && isDigit(buf[i]); i++ {
+			if mant <= maxExactMantissa {
+				mant = mant*10 + uint64(buf[i]-'0')
+			}
+			exp--
+		}
+	}
+	if valid && i < len(buf) && (buf[i] == 'e' || buf[i] == 'E') {
+		i++
+		expNeg := i < len(buf) && buf[i] == '-'
+		if i < len(buf) && (buf[i] == '+' || buf[i] == '-') {
+			i++
+		}
+		valid = i < len(buf) && isDigit(buf[i])
+		e := 0
+		for ; i < len(buf) && isDigit(buf[i]); i++ {
+			if e < 1e6 { // far outside float64 range either way
+				e = e*10 + int(buf[i]-'0')
+			}
+		}
+		if expNeg {
+			e = -e
+		}
+		exp += e
+	}
+	if !valid || (i < len(buf) && numberChar(buf[i])) {
+		for i < len(buf) && numberChar(buf[i]) {
+			i++
+		}
+		s.pos = i
+		return 0, fmt.Errorf("malformed number %q at offset %d", buf[start:i], start)
+	}
+	s.pos = i
+	if mant <= maxExactMantissa && exp >= -22 && exp <= 22 {
+		f := float64(mant)
+		if exp < 0 {
+			f /= exactPow10[-exp]
+		} else {
+			f *= exactPow10[exp]
+		}
+		if neg {
+			f = -f
+		}
+		return f, nil
+	}
+	v, err := strconv.ParseFloat(string(buf[start:i]), 64)
 	if err != nil {
-		return 0, fmt.Errorf("malformed number %q at offset %d", tok, start)
+		return 0, fmt.Errorf("malformed number %q at offset %d", buf[start:i], start)
 	}
 	return v, nil
 }
@@ -268,7 +313,7 @@ func (s *lineScanner) scanLiteral(word string) error {
 	}
 	s.pos += len(word)
 	if s.pos < len(s.buf) {
-		if c := s.buf[s.pos]; c != ',' && c != '}' && c != ']' && c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+		if c := s.buf[s.pos]; c != ',' && c != '}' && c != ']' && !isJSONSpace(c) {
 			return fmt.Errorf("unexpected character %q after %q at offset %d", c, word, s.pos)
 		}
 	}
@@ -277,43 +322,69 @@ func (s *lineScanner) scanLiteral(word string) error {
 
 // rowDecoder is the schema-directed object decoder shared by the NDJSON
 // feed reader and the /score request parser: it owns a private copy of the
-// schema, the name and nominal-level indexes over it, and the reusable
-// row buffer one {...} object decodes into. Duplicate keys within one
-// object are rejected via per-column generation marks, so a decode never
-// silently resolves {"aadt":1,"aadt":9} last-wins the way a Go map would.
+// schema, the name index over it, per-column decoding state and the
+// reusable row buffer one {...} object decodes into. Duplicate keys within
+// one object are rejected via per-column generation marks, so a decode
+// never silently resolves {"aadt":1,"aadt":9} last-wins the way a Go map
+// would.
 type rowDecoder struct {
-	attrs      []Attribute
-	byName     map[string]int
-	levelIndex []map[string]int
-	rowBuf     []float64
-	seen       []int // per-column generation marks for duplicate-key checks
-	gen        int
+	attrs  []Attribute
+	byName map[string]int
+	cols   []decodeCol
+	rowBuf []float64
+	gen    int
+}
+
+// decodeCol is one column's decoding state.
+type decodeCol struct {
+	// quoted is the name as a JSON string token, quotes included, when
+	// its raw bytes decode to the name and the name resolves to this
+	// column; nil otherwise (names needing escapes, a name repeated in the
+	// schema before its last column), which leaves the key to the
+	// scanString + byName fallback.
+	quoted []byte
+	levels map[string]int // nominal level name -> index
+	seen   int            // generation mark for duplicate-key checks
 }
 
 // newRowDecoder deep-copies the schema and builds the decoding indexes.
 // Nominal level sets grow as new level names appear in the data; the
-// caller's attrs are never mutated.
-func newRowDecoder(attrs []Attribute) *rowDecoder {
+// caller's attrs are never mutated. The decoder is returned by value for
+// its owner to embed, and the quoted names share one backing array, so a
+// reader built per request allocates neither per column nor for the
+// decoder itself.
+func newRowDecoder(attrs []Attribute) rowDecoder {
 	copied := make([]Attribute, len(attrs))
 	byName := make(map[string]int, len(attrs))
-	levelIndex := make([]map[string]int, len(attrs))
+	cols := make([]decodeCol, len(attrs))
+	size := 0
 	for j, a := range attrs {
 		copied[j] = Attribute{Name: a.Name, Kind: a.Kind, Levels: append([]string(nil), a.Levels...)}
 		byName[a.Name] = j
+		size += len(a.Name) + 2
 		if a.Kind == Nominal {
 			idx := make(map[string]int, len(a.Levels))
 			for l, name := range a.Levels {
 				idx[name] = l
 			}
-			levelIndex[j] = idx
+			cols[j].levels = idx
 		}
 	}
-	return &rowDecoder{
-		attrs:      copied,
-		byName:     byName,
-		levelIndex: levelIndex,
-		rowBuf:     make([]float64, len(copied)),
-		seen:       make([]int, len(copied)),
+	quoted := make([]byte, 0, size)
+	for j, a := range attrs {
+		lo := len(quoted)
+		quoted = AppendJSONString(quoted, a.Name)
+		if byName[a.Name] != j || string(quoted[lo+1:len(quoted)-1]) != a.Name {
+			quoted = quoted[:lo]
+			continue
+		}
+		cols[j].quoted = quoted[lo:]
+	}
+	return rowDecoder{
+		attrs:  copied,
+		byName: byName,
+		cols:   cols,
+		rowBuf: make([]float64, len(copied)),
 	}
 }
 
@@ -329,8 +400,11 @@ func (d *rowDecoder) missingRow() []float64 {
 // parseObject decodes one {...} object from the scanner into rowBuf
 // (schema order, absent keys missing), scanning left to right. Keys are
 // resolved in document order, so unknown attributes and duplicate keys
-// within one object are rejected with the offending name. The scanner is
-// left just past the closing '}'; trailing-data policy is the caller's.
+// within one object are rejected with the offending name. Writers emit
+// keys in schema order, so each key is first compared with the quoted name
+// of the column after the previous key's; only on a miss is it decoded and
+// looked up by name. Any key order is valid. The scanner is left just past
+// the closing '}'; trailing-data policy is the caller's.
 func (d *rowDecoder) parseObject(s *lineScanner) error {
 	for j := range d.rowBuf {
 		d.rowBuf[j] = Missing
@@ -344,19 +418,31 @@ func (d *rowDecoder) parseObject(s *lineScanner) error {
 	if s.eat('}') {
 		return nil
 	}
+	next := 0 // the column whose quoted name is tried first
 	for {
-		key, err := s.scanString()
-		if err != nil {
-			return err
+		var key []byte
+		j := -1
+		if next < len(d.cols) {
+			if q := d.cols[next].quoted; q != nil && bytes.HasPrefix(s.buf[s.pos:], q) {
+				j, key = next, q[1:len(q)-1]
+				s.pos += len(q)
+			}
 		}
-		j, ok := d.byName[string(key)]
-		if !ok {
-			return fmt.Errorf("unknown attribute %q", key)
+		if j < 0 {
+			var err error
+			if key, err = s.scanString(); err != nil {
+				return err
+			}
+			var ok bool
+			if j, ok = d.byName[string(key)]; !ok {
+				return fmt.Errorf("unknown attribute %q", key)
+			}
 		}
-		if d.seen[j] == d.gen {
+		if d.cols[j].seen == d.gen {
 			return fmt.Errorf("duplicate attribute %q", key)
 		}
-		d.seen[j] = d.gen
+		d.cols[j].seen = d.gen
+		next = j + 1
 		s.skipSpace()
 		if !s.eat(':') {
 			return s.syntaxErr("':'")
@@ -411,11 +497,11 @@ func (d *rowDecoder) scanValue(s *lineScanner, j int) error {
 		}
 		switch at.Kind {
 		case Nominal:
-			idx, ok := d.levelIndex[j][string(raw)]
+			idx, ok := d.cols[j].levels[string(raw)]
 			if !ok {
 				idx = len(at.Levels)
 				at.Levels = append(at.Levels, string(raw))
-				d.levelIndex[j][string(raw)] = idx
+				d.cols[j].levels[string(raw)] = idx
 			}
 			d.rowBuf[j] = float64(idx)
 		case Binary:

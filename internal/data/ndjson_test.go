@@ -1,7 +1,10 @@
 package data
 
 import (
+	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -32,19 +35,19 @@ func readOne(t *testing.T, schema []Attribute, line string) ([]float64, []Attrib
 func TestNDJSONStringDecoding(t *testing.T) {
 	schema := []Attribute{{Name: "s", Kind: Nominal}}
 	cases := map[string]string{
-		`{"s": "plain"}`:                     "plain",
-		`{"s": "a\"b\\c\/d"}`:                "a\"b\\c/d",
-		`{"s": "\b\f\n\r\t"}`:                "\b\f\n\r\t",
-		`{"s": "\u0041\u00e9"}`:              "Aé",
-		`{"s": "\ud83d\ude00"}`:              "😀",
-		`{"s": "\ud800"}`:                    "\uFFFD", // lone high surrogate
-		`{"s": "\ud800x"}`:                   "\uFFFDx",
-		`{"s": "\udc00\ud800"}`:              "\uFFFD\uFFFD", // wrong order
-		"{\"s\": \"caf\u00e9\"}":             "café",         // raw UTF-8
-		"{\"s\": \"\x7f\"}":                  "\x7f",         // raw DEL is legal JSON
-		"{\"s\": \"a\xffb\"}":                "a\uFFFDb",     // invalid UTF-8 byte
-		`{"s": "mixed\u0020end"}`:            "mixed end",
-		"{\"s\": \"\xe2\x82\xacok\"}":        "€ok",
+		`{"s": "plain"}`:                      "plain",
+		`{"s": "a\"b\\c\/d"}`:                 "a\"b\\c/d",
+		`{"s": "\b\f\n\r\t"}`:                 "\b\f\n\r\t",
+		`{"s": "\u0041\u00e9"}`:               "Aé",
+		`{"s": "\ud83d\ude00"}`:               "😀",
+		`{"s": "\ud800"}`:                     "\uFFFD", // lone high surrogate
+		`{"s": "\ud800x"}`:                    "\uFFFDx",
+		`{"s": "\udc00\ud800"}`:               "\uFFFD\uFFFD", // wrong order
+		"{\"s\": \"caf\u00e9\"}":              "café",         // raw UTF-8
+		"{\"s\": \"\x7f\"}":                   "\x7f",         // raw DEL is legal JSON
+		"{\"s\": \"a\xffb\"}":                 "a\uFFFDb",     // invalid UTF-8 byte
+		`{"s": "mixed\u0020end"}`:             "mixed end",
+		"{\"s\": \"\xe2\x82\xacok\"}":         "€ok",
 		"{\"s\": \"esc\\n\xe2\x82\xac\x7f\"}": "esc\n€\x7f",
 	}
 	for line, want := range cases {
@@ -69,32 +72,32 @@ func TestNDJSONStringErrors(t *testing.T) {
 		{Name: "flag", Kind: Binary},
 	}
 	cases := []string{
-		`{"s": "\x41"}`,      // invalid escape
-		`{"s": "\u00"}`,      // truncated \u escape
-		`{"s": "\uZZZZ"}`,    // non-hex \u digits
-		`{"s": "\`,           // escape at end of input
-		`{"s": "open`,        // unterminated string (fast path)
-		`{"s": "open\n`,      // unterminated after escape (slow path)
-		"{\"s\": \"a\x01b\"}", // raw control char (fast path)
+		`{"s": "\x41"}`,        // invalid escape
+		`{"s": "\u00"}`,        // truncated \u escape
+		`{"s": "\uZZZZ"}`,      // non-hex \u digits
+		`{"s": "\`,             // escape at end of input
+		`{"s": "open`,          // unterminated string (fast path)
+		`{"s": "open\n`,        // unterminated after escape (slow path)
+		"{\"s\": \"a\x01b\"}",  // raw control char (fast path)
 		"{\"s\": \"\\n\x01\"}", // raw control char (slow path)
-		`{"s" "v"}`,          // missing colon
-		`{"s": "v" "x": 1}`,  // missing comma
-		`{"x": trueX}`,       // bad literal tail
-		`{"x": tru}`,         // truncated literal
-		`{"flag": nul}`,      // truncated null
-		`{"x": +5}`,          // '+' cannot start a number
-		`{"x": 5..5}`,        // malformed number
-		`{"x": 01}`,          // leading zero (valid for ParseFloat, not JSON)
-		`{"x": 1.}`,          // trailing dot
-		`{"x": 1.e5}`,        // exponent after bare dot
-		`{"x": .5}`,          // bare leading dot
-		`{"x": -}`,           // sign without digits
-		`{"x": 1e}`,          // exponent without digits
-		`{"x": 1e+}`,         // signed exponent without digits
-		`{1: 2}`,             // non-string key
-		`["x"]`,              // not an object
-		`{"x": 1,}`,          // trailing comma
-		`  `,                 // whitespace only (after blank-skip: EOF is fine)
+		`{"s" "v"}`,            // missing colon
+		`{"s": "v" "x": 1}`,    // missing comma
+		`{"x": trueX}`,         // bad literal tail
+		`{"x": tru}`,           // truncated literal
+		`{"flag": nul}`,        // truncated null
+		`{"x": +5}`,            // '+' cannot start a number
+		`{"x": 5..5}`,          // malformed number
+		`{"x": 01}`,            // leading zero (valid for ParseFloat, not JSON)
+		`{"x": 1.}`,            // trailing dot
+		`{"x": 1.e5}`,          // exponent after bare dot
+		`{"x": .5}`,            // bare leading dot
+		`{"x": -}`,             // sign without digits
+		`{"x": 1e}`,            // exponent without digits
+		`{"x": 1e+}`,           // signed exponent without digits
+		`{1: 2}`,               // non-string key
+		`["x"]`,                // not an object
+		`{"x": 1,}`,            // trailing comma
+		`  `,                   // whitespace only (after blank-skip: EOF is fine)
 	}
 	for _, line := range cases {
 		br := NewNDJSONBatchReader(strings.NewReader(line), schema, 4)
@@ -115,13 +118,13 @@ func TestNDJSONValueForms(t *testing.T) {
 		{Name: "flag", Kind: Binary},
 	}
 	for line, want := range map[string][2]float64{
-		`{ "x" : -12.5e1 , "flag" : true }`:  {-125, 1},
-		`{"x": "3.25", "flag": "YES"}`:       {3.25, 1},
-		`{"x": "Inf", "flag": "FALSE"}`:      {Missing, 0}, // Inf stored, checked below
-		`{"x": null, "flag": "0"}`:           {Missing, 0},
-		`{"flag": "1"}`:                      {Missing, 1},
-		`{"flag": "No"}`:                     {Missing, 0},
-		`{"flag": false}`:                    {Missing, 0},
+		`{ "x" : -12.5e1 , "flag" : true }`: {-125, 1},
+		`{"x": "3.25", "flag": "YES"}`:      {3.25, 1},
+		`{"x": "Inf", "flag": "FALSE"}`:     {Missing, 0}, // Inf stored, checked below
+		`{"x": null, "flag": "0"}`:          {Missing, 0},
+		`{"flag": "1"}`:                     {Missing, 1},
+		`{"flag": "No"}`:                    {Missing, 0},
+		`{"flag": false}`:                   {Missing, 0},
 	} {
 		row, _, err := readOne(t, schema, line)
 		if err != nil {
@@ -137,6 +140,91 @@ func TestNDJSONValueForms(t *testing.T) {
 		}
 		if row[1] != want[1] {
 			t.Errorf("%q: flag = %v, want %v", line, row[1], want[1])
+		}
+	}
+}
+
+// TestNDJSONNumbers pins numbers on both sides of the scanner's exact
+// path (mantissa <= 2^53, decimal exponent within ±22) bit for bit
+// against strconv.ParseFloat, with the keys in schema order, out of it and
+// spelled with \u escapes. A token ParseFloat reports out of range
+// (1e400) is a malformed number here, as it always was.
+func TestNDJSONNumbers(t *testing.T) {
+	schema := []Attribute{{Name: "x", Kind: Interval}, {Name: "y", Kind: Interval}}
+	tokens := []string{
+		"0", "-0", "-0.0", "0e5", "-0e-5", "100", "0.5", "2.5e-3", "1E+2", "123.456e-2",
+		"9007199254740992", "-9007199254740992", // 2^53: the largest exact mantissa
+		"9007199254740993", "-9007199254740993", // 2^53+1: to ParseFloat
+		"9007199254740992e22", "9007199254740992e-22",
+		"1234567890123456789", "12345678901234567890", // 19- and 20-digit mantissas
+		"0.1234567890123456789", "0.12345678901234567890",
+		"0.0000000000000000000001", "0.00000000000000000000001", // 22 and 23 fraction digits
+		"0.0000010000000000000001", // 17-digit mantissa past 2^53: rounding it first would be wrong
+		"1e22", "1e23", "1e-22", "1e-23", "4.35e21", "2.8000000000000003",
+		"1e18446744073709551621", "1e-18446744073709551621", // exponent 2^64+5 must not wrap to 5
+		"5e-324", "2.2250738585072014e-308", "1.7976931348623157e308", "1e-400", "1e400", "-1e400",
+	}
+	layouts := []string{`{"x": %s, "y": 7}`, `{"y": 7, "x": %s}`, `{"\u0078": %s, "\u0079": 7}`}
+	for _, tok := range tokens {
+		want, wantErr := strconv.ParseFloat(tok, 64)
+		for _, layout := range layouts {
+			line := fmt.Sprintf(layout, tok)
+			row, _, err := readOne(t, schema, line)
+			if wantErr != nil {
+				if err == nil || !strings.Contains(err.Error(), "malformed number") {
+					t.Errorf("%s: got %v, want a malformed number (ParseFloat: %v)", line, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s: %v", line, err)
+				continue
+			}
+			if math.Float64bits(row[0]) != math.Float64bits(want) || row[1] != 7 {
+				t.Errorf("%s: x = %v (%#x), y = %v; want x = %v (%#x), y = 7", line, row[0], math.Float64bits(row[0]), row[1], want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestRowWhitespace runs each row through NDJSONBatchReader (one line)
+// and ParseScoreRequest (one segment) and asserts the same accept/reject:
+// only space, tab, CR and LF may surround a row. \v, \f, U+0085 and
+// U+00A0 are not JSON whitespace and reject the row on both paths.
+func TestRowWhitespace(t *testing.T) {
+	schema := []Attribute{{Name: "x", Kind: Interval}}
+	cases := []struct {
+		row string
+		ok  bool
+	}{
+		{`{"x":1}`, true},
+		{` {"x":1} `, true},
+		{"\t{\"x\":1}\t", true},
+		{"\r {\"x\" : 1}\r", true},
+		{"\v{\"x\":1}", false},
+		{"{\"x\":1}\v", false},
+		{"\f{\"x\":1}", false},
+		{"{\"x\":1}\f", false},
+		{"\u0085{\"x\":1}", false},
+		{"\u00a0{\"x\":1}", false},
+		{"{\"x\":1}\u00a0", false},
+		{"{\"x\":\v1}", false},
+		{"\v", false},
+	}
+	for _, c := range cases {
+		br := NewNDJSONBatchReader(strings.NewReader(c.row+"\n"), schema, 4)
+		b, err := br.Next()
+		if err == io.EOF {
+			t.Errorf("%q: NDJSON skipped the line as blank", c.row)
+			continue
+		}
+		streamOK := err == nil && b.Len() == 1
+		p := NewScoreRequestParser(schema)
+		_, _, err = ParseScoreRequest([]byte(`{"model":"m","segments":[`+c.row+`]}`), 8,
+			func(string) (*ScoreRequestParser, error) { return p, nil })
+		scoreOK := err == nil
+		if streamOK != c.ok || scoreOK != c.ok {
+			t.Errorf("%q: NDJSON accepted %v, /score accepted %v, want %v", c.row, streamOK, scoreOK, c.ok)
 		}
 	}
 }

@@ -65,7 +65,7 @@ const maxScoreDepth = 10000
 // names discovered in one request stay interned for the next, exactly like
 // a long-lived NDJSON reader. It must not be shared across goroutines.
 type ScoreRequestParser struct {
-	dec   *rowDecoder
+	dec   rowDecoder
 	batch *Batch
 }
 

@@ -2,7 +2,6 @@ package data
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -273,12 +272,14 @@ const maxNDJSONLine = 1 << 20
 // Missing values are null or simply omitted keys; unknown keys are
 // rejected so client typos fail loudly, and so is a key repeated within
 // one row — a generic JSON decode would silently keep the last value,
-// scoring {"aadt":1,"aadt":9} as 9 with no error anywhere. Blank lines
-// are skipped. Rows are parsed by the hand-rolled scanner in ndjson.go,
-// which allocates nothing per row in steady state.
+// scoring {"aadt":1,"aadt":9} as 9 with no error anywhere. Lines holding
+// only JSON whitespace (space, tab, CR) are skipped; any other byte around
+// a row, \v or U+00A0 say, rejects it as /score does. Rows are parsed by
+// the hand-rolled scanner in ndjson.go, which allocates nothing per row in
+// steady state.
 type NDJSONBatchReader struct {
 	sc    *bufio.Scanner
-	dec   *rowDecoder
+	dec   rowDecoder
 	batch *Batch
 	row   int
 	done  bool
@@ -333,10 +334,18 @@ func (r *NDJSONBatchReader) Next() (*Batch, error) {
 	return b, nil
 }
 
-// nextLine returns the next non-blank line or io.EOF.
+// nextLine returns the next non-blank line or io.EOF, trimmed of JSON
+// whitespace only. bytes.TrimSpace would also strip \v, \f, U+0085 and
+// U+00A0, accepting rows that /score rejects.
 func (r *NDJSONBatchReader) nextLine() ([]byte, error) {
 	for r.sc.Scan() {
-		line := bytes.TrimSpace(r.sc.Bytes())
+		line := r.sc.Bytes()
+		for len(line) > 0 && isJSONSpace(line[0]) {
+			line = line[1:]
+		}
+		for len(line) > 0 && isJSONSpace(line[len(line)-1]) {
+			line = line[:len(line)-1]
+		}
 		if len(line) == 0 {
 			continue
 		}

@@ -320,6 +320,31 @@ func TestFeedbackSenderLabels(t *testing.T) {
 	})
 }
 
+// TestSendersRecordTransportAndTruncation pins two failure branches that
+// a timed run reaches only when its deadline happens to land mid-request:
+// a label POST to an unreachable target is a transport error, and a stream
+// answer that ends without its done trailer is a truncated request.
+// Neither is a deadline abort.
+func TestSendersRecordTransportAndTruncation(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	fs := newFeedbackSender(nil, "m", dead.URL, 8, 1)
+	if s := fs.send(context.Background(), []labelPair{{id: 1, y: true}}); s.status != "transport" || s.ok || s.aborted {
+		t.Fatalf("label POST to a closed server: %+v", s)
+	}
+
+	cut := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"risk":0.5,"crash_prone":true}`+"\n")
+	}))
+	defer cut.Close()
+	attrs := []data.Attribute{{Name: "aadt", Kind: data.Interval}}
+	b := data.NewBatch(attrs, 1)
+	b.AppendRow([]float64{100})
+	if s, _ := streamRequest(context.Background(), cut.URL, "m", b, []includeColumn{{col: 0, attr: attrs[0]}}); s.status != "truncated" || s.ok || s.aborted {
+		t.Fatalf("stream without a done trailer: %+v", s)
+	}
+}
+
 // TestRunCounts429 pins the capacity-experiment path: with the server's
 // only admission slot deterministically occupied by a held stream, every
 // loadgen request must come back 429 and be recorded as a rejection, not

@@ -1,6 +1,8 @@
 package roadcrash
 
 import (
+	"bytes"
+	"io"
 	"sync"
 	"testing"
 
@@ -104,4 +106,43 @@ func BenchmarkInMemoryScore100k(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(rows), "rows/op")
+}
+
+// BenchmarkNDJSONReader drains an NDJSONBatchReader over one 4096-row
+// ScenarioStream body rendered with NDJSONBatchWriter, building the reader
+// per body as /score/stream does per request. It isolates the row decoder
+// that dominates /score/stream: bytes/s is parse throughput, allocs/op the
+// per-body allocation count.
+func BenchmarkNDJSONReader(b *testing.B) {
+	const rows = 4096
+	stream, err := roadnet.NewScenarioStream(roadnet.DefaultScenarioOptions(rows))
+	if err != nil {
+		b.Fatal(err)
+	}
+	attrs := stream.Attrs()
+	var body bytes.Buffer
+	if err := data.Copy(data.NewNDJSONBatchWriter(&body, attrs), stream); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd := data.NewNDJSONBatchReader(bytes.NewReader(body.Bytes()), attrs, data.DefaultChunkSize)
+		n := 0
+		for {
+			batch, err := rd.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			n += batch.Len()
+		}
+		if n != rows {
+			b.Fatalf("parsed %d rows, want %d", n, rows)
+		}
+	}
+	b.ReportMetric(rows, "rows/op")
 }
