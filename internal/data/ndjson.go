@@ -301,9 +301,22 @@ func (s *lineScanner) scanNumber() (float64, error) {
 	}
 	v, err := strconv.ParseFloat(string(buf[start:i]), 64)
 	if err != nil {
-		return 0, fmt.Errorf("malformed number %q at offset %d", buf[start:i], start)
+		// The token passed the grammar, so only ErrRange is left.
+		return 0, &numberRangeError{tok: string(buf[start:i]), off: start}
 	}
 	return v, nil
+}
+
+// numberRangeError is scanNumber's error for a well-formed number outside
+// float64 range. It reads as every other malformed number; its type lets
+// a walker that checks syntax only accept the token.
+type numberRangeError struct {
+	tok string
+	off int
+}
+
+func (e *numberRangeError) Error() string {
+	return fmt.Sprintf("malformed number %q at offset %d", e.tok, e.off)
 }
 
 // scanLiteral consumes the given keyword (true/false/null).

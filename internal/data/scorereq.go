@@ -58,6 +58,10 @@ func (e *SegmentError) Unwrap() error { return e.Err }
 // nested body fails the same way on both paths.
 const maxScoreDepth = 10000
 
+// segmentDepth is the nesting around one /score segment: the request
+// object and the segments array.
+const segmentDepth = 2
+
 // ScoreRequestParser owns the reusable decoding state for one model's
 // /score requests: a schema-directed row decoder and the columnar batch
 // segments decode into. A parser is single-use at a time (the batch is
@@ -264,7 +268,7 @@ func parseSegments(s *lineScanner, p *ScoreRequestParser, maxSegments int) (coun
 				// segments still need counting; invalid JSON fails the
 				// whole request as malformed.
 				s.pos = start
-				if err := skipValue(s); err != nil {
+				if err := skipValue(s, segmentDepth, true); err != nil {
 					return count, segErr, err
 				}
 				segErr = &SegmentError{Segment: count, Err: perr}
@@ -272,7 +276,7 @@ func parseSegments(s *lineScanner, p *ScoreRequestParser, maxSegments int) (coun
 				p.batch.AppendRow(p.dec.rowBuf)
 			}
 		default:
-			if err := skipValue(s); err != nil {
+			if err := skipValue(s, segmentDepth, true); err != nil {
 				return count, segErr, err
 			}
 		}
@@ -292,9 +296,12 @@ func parseSegments(s *lineScanner, p *ScoreRequestParser, maxSegments int) (coun
 // It runs the same token scanners as the typed path (same string, number
 // and literal grammar) so "malformed" means the same thing on both, and is
 // iterative with an explicit container stack, so input nesting cannot
-// overflow the goroutine stack; depth is capped at maxScoreDepth as
-// encoding/json caps it.
-func skipValue(s *lineScanner) error {
+// overflow the goroutine stack. depth is the number of containers already
+// open around the value; with it the total nesting is capped at
+// maxScoreDepth, as encoding/json caps it. convert also rejects numbers
+// outside float64 range, as encoding/json does wherever it converts them:
+// every number inside a /score segment, but none in a field it skips.
+func skipValue(s *lineScanner, depth int, convert bool) error {
 	var depthBuf [16]byte
 	stack := depthBuf[:0] // one byte per open container: '{' or '['
 	for {
@@ -306,7 +313,7 @@ func skipValue(s *lineScanner) error {
 		switch c := s.buf[s.pos]; {
 		case c == '{':
 			s.pos++
-			if len(stack) >= maxScoreDepth {
+			if depth+len(stack) >= maxScoreDepth {
 				return fmt.Errorf("exceeded max depth of %d", maxScoreDepth)
 			}
 			stack = append(stack, '{')
@@ -325,7 +332,7 @@ func skipValue(s *lineScanner) error {
 			}
 		case c == '[':
 			s.pos++
-			if len(stack) >= maxScoreDepth {
+			if depth+len(stack) >= maxScoreDepth {
 				return fmt.Errorf("exceeded max depth of %d", maxScoreDepth)
 			}
 			stack = append(stack, '[')
@@ -341,7 +348,9 @@ func skipValue(s *lineScanner) error {
 			closed = true
 		case c == '-' || (c >= '0' && c <= '9'):
 			if _, err := s.scanNumber(); err != nil {
-				return err
+				if _, outOfRange := err.(*numberRangeError); convert || !outOfRange {
+					return err
+				}
 			}
 			closed = true
 		case c == 't':

@@ -235,6 +235,19 @@ func TestParseScoreRequestDepthCap(t *testing.T) {
 		t.Fatalf("err = %v, want SegmentError for an unsupported nested value", err)
 	}
 
+	// The cap counts the request object, the segments array and the
+	// segment around the value, as encoding/json does: 10000 levels in all
+	// leave a per-segment error, 10001 fail as malformed.
+	nest := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	_, _, err = ParseScoreRequest([]byte(`{"model":"m","segments":[{"x":`+nest(maxScoreDepth-3)+`}]}`), 10, okResolve)
+	if !errors.As(err, &seg) {
+		t.Fatalf("10000 levels: err = %v, want SegmentError", err)
+	}
+	_, _, err = ParseScoreRequest([]byte(`{"model":"m","segments":[{"x":`+nest(maxScoreDepth-2)+`}]}`), 10, okResolve)
+	if err == nil || !strings.Contains(err.Error(), "depth") {
+		t.Fatalf("10001 levels: err = %v, want a depth error", err)
+	}
+
 	// The same nesting hidden behind a deferred segments array (model
 	// still unknown) hits the cap in the structural pre-scan too.
 	deferred := `{"segments":[{"x":` + strings.Repeat("[", maxScoreDepth+1) + strings.Repeat("]", maxScoreDepth+1) + `}],"model":"m"}`
@@ -405,7 +418,7 @@ func TestSkipValueShapes(t *testing.T) {
 	}
 	for _, in := range valid {
 		s := lineScanner{buf: []byte(in + " ,tail")}
-		if err := skipValue(&s); err != nil {
+		if err := skipValue(&s, 0, true); err != nil {
 			t.Errorf("%q: %v", in, err)
 			continue
 		}
@@ -421,7 +434,7 @@ func TestSkipValueShapes(t *testing.T) {
 	}
 	for _, in := range invalid {
 		s := lineScanner{buf: []byte(in)}
-		if err := skipValue(&s); err == nil {
+		if err := skipValue(&s, 0, true); err == nil {
 			t.Errorf("%q: accepted", in)
 		}
 	}

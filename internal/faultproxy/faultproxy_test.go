@@ -49,7 +49,18 @@ func startProxy(t *testing.T, cfg Config) (*Proxy, *httptest.Server) {
 // headers cross the proxy unchanged in both directions.
 func TestPassThroughFidelity(t *testing.T) {
 	up := backend(t)
-	p, srv := startProxy(t, Config{Target: up.URL})
+	p, err := New(Config{Target: up.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The proxy counts a forward after its last write, which the client
+	// can read before the handler returns: Stats waits for the return.
+	returned := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(returned)
+		p.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
 
 	resp, err := http.Post(srv.URL+"/x", "text/plain", strings.NewReader("ping"))
 	if err != nil {
@@ -63,6 +74,7 @@ func TestPassThroughFidelity(t *testing.T) {
 	if resp.Header.Get("X-Upstream") != "yes" {
 		t.Fatal("upstream headers must cross the proxy")
 	}
+	<-returned
 	if s := p.Stats(); s.Requests != 1 || s.Forwarded != 1 || s.Errored+s.Resets+s.Kills != 0 {
 		t.Fatalf("stats = %+v, want one clean forward", s)
 	}

@@ -12,11 +12,11 @@ import (
 // one cell, never two and never zero.
 func FuzzGridCell(f *testing.F) {
 	f.Add(0.0, 0.0, 1.5)
-	f.Add(2.5, 2.5, 2.5)      // exact internal boundary
-	f.Add(95.99, 95.99, 1.5)  // last in-extent register point
-	f.Add(48.0, 48.0, 0.7)    // non-dividing cell size
-	f.Add(-1.0, 50.0, 3.0)    // outside
-	f.Add(96.0, 0.0, 3.0)     // far edge is outside
+	f.Add(2.5, 2.5, 2.5)     // exact internal boundary
+	f.Add(95.99, 95.99, 1.5) // last in-extent register point
+	f.Add(48.0, 48.0, 0.7)   // non-dividing cell size
+	f.Add(-1.0, 50.0, 3.0)   // outside
+	f.Add(96.0, 0.0, 3.0)    // far edge is outside
 	f.Add(31.999999999, 32.000000001, 4.0)
 	f.Fuzz(func(t *testing.T, x, y, cellKm float64) {
 		if math.IsNaN(cellKm) || math.IsInf(cellKm, 0) || cellKm <= 0.01 || cellKm > 96 {

@@ -190,7 +190,7 @@ type Report struct {
 	Stream          *EndpointReport `json:"score_stream,omitempty"`
 	// Hotspots aggregates GET /hotspots requests of a hotspot-mode run;
 	// its RowsScored counts ranked cells returned.
-	Hotspots        *EndpointReport `json:"hotspots,omitempty"`
+	Hotspots *EndpointReport `json:"hotspots,omitempty"`
 	// Feedback aggregates the delayed-label POST /feedback requests of a
 	// feedback-enabled run; its RowsScored counts labels the server
 	// matched to recorded scores.

@@ -310,7 +310,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // CounterVec registers a counter family fanned out over the given label
 // keys.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	v := &CounterVec{series: make(map[string]*Counter), width: len(labels)}
+	v := &CounterVec{newLabeled(len(labels), func() *Counter { return &Counter{} })}
 	r.add(&metric{name: name, help: help, typ: "counter", labels: labels, cvec: v})
 	return v
 }
@@ -318,7 +318,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // GaugeVec registers a gauge family fanned out over the given label keys
 // (per-replica readiness, breaker states).
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{series: make(map[string]*Gauge), width: len(labels)}
+	v := &GaugeVec{newLabeled(len(labels), func() *Gauge { return &Gauge{} })}
 	r.add(&metric{name: name, help: help, typ: "gauge", labels: labels, gvec: v})
 	return v
 }
@@ -326,7 +326,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 // FloatGaugeVec registers a float-gauge family fanned out over the given
 // label keys (per-model windowed error means, drift baselines).
 func (r *Registry) FloatGaugeVec(name, help string, labels ...string) *FloatGaugeVec {
-	v := &FloatGaugeVec{series: make(map[string]*FloatGauge), width: len(labels)}
+	v := &FloatGaugeVec{newLabeled(len(labels), func() *FloatGauge { return &FloatGauge{} })}
 	r.add(&metric{name: name, help: help, typ: "gauge", labels: labels, fgvec: v})
 	return v
 }
@@ -334,144 +334,101 @@ func (r *Registry) FloatGaugeVec(name, help string, labels ...string) *FloatGaug
 // HistogramVec registers a histogram family fanned out over the given
 // label keys (nil bounds selects DefBuckets).
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	v := &HistogramVec{series: make(map[string]*Histogram), width: len(labels), bounds: bounds}
+	v := &HistogramVec{newLabeled(len(labels), func() *Histogram { return NewHistogram(bounds) })}
 	r.add(&metric{name: name, help: help, typ: "histogram", labels: labels, hvec: v})
 	return v
 }
 
-// labelKey joins label values into a NUL-separated map key. NUL bytes
-// inside a value are replaced with U+FFFD first, so a hostile value
-// cannot forge another series' key or desynchronize the label rendering;
-// the sanitized form is also what renderLabels emits.
-func labelKey(values []string) string {
+// labeled is the series table behind every labeled vector: one series
+// per distinct tuple of label values, keyed by the values joined with
+// NUL.
+type labeled[T any] struct {
+	mu     sync.RWMutex
+	width  int
+	series map[string]*T
+	create func() *T
+}
+
+func newLabeled[T any](width int, create func() *T) labeled[T] {
+	return labeled[T]{width: width, series: make(map[string]*T), create: create}
+}
+
+// with returns the series for the given label values, creating it on
+// first use. Finding an existing series takes a read lock and allocates
+// nothing: the key is built in a stack buffer and looked up as
+// series[string(key)], which Go does not copy. The key string is
+// allocated only to create a series.
+func (l *labeled[T]) with(values []string) *T {
+	if len(values) != l.width {
+		panic(fmt.Sprintf("metrics: %d label values for %d labels", len(values), l.width))
+	}
+	var buf [128]byte
+	key := appendLabelKey(buf[:0], values)
+	l.mu.RLock()
+	t, ok := l.series[string(key)]
+	l.mu.RUnlock()
+	if ok {
+		return t
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if t, ok = l.series[string(key)]; !ok {
+		t = l.create()
+		l.series[string(key)] = t
+	}
+	return t
+}
+
+// appendLabelKey appends the series key of values to buf: the values
+// joined by NUL. NUL bytes inside a value are replaced with U+FFFD first,
+// so a hostile value cannot forge another series' key or desynchronize
+// the label rendering; the sanitized form is also what renderLabels
+// emits.
+func appendLabelKey(buf []byte, values []string) []byte {
 	for i, v := range values {
-		if strings.ContainsRune(v, '\x00') {
-			sanitized := append([]string(nil), values...)
-			for j := i; j < len(sanitized); j++ {
-				sanitized[j] = strings.ReplaceAll(sanitized[j], "\x00", "�")
+		if i > 0 {
+			buf = append(buf, 0)
+		}
+		for {
+			before, after, nul := strings.Cut(v, "\x00")
+			buf = append(buf, before...)
+			if !nul {
+				break
 			}
-			return strings.Join(sanitized, "\x00")
+			buf = append(buf, "\uFFFD"...)
+			v = after
 		}
 	}
-	return strings.Join(values, "\x00")
+	return buf
 }
 
 // CounterVec is a counter family keyed by label values.
-type CounterVec struct {
-	mu     sync.RWMutex
-	width  int
-	series map[string]*Counter
-}
+type CounterVec struct{ labeled[Counter] }
 
 // With returns the counter for the given label values, creating it on
-// first use. The fast path for an existing series is a read lock.
-func (v *CounterVec) With(values ...string) *Counter {
-	if len(values) != v.width {
-		panic(fmt.Sprintf("metrics: %d label values for %d labels", len(values), v.width))
-	}
-	k := labelKey(values)
-	v.mu.RLock()
-	c, ok := v.series[k]
-	v.mu.RUnlock()
-	if ok {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok = v.series[k]; !ok {
-		c = &Counter{}
-		v.series[k] = c
-	}
-	return c
-}
+// first use.
+func (v *CounterVec) With(values ...string) *Counter { return v.with(values) }
 
 // GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct {
-	mu     sync.RWMutex
-	width  int
-	series map[string]*Gauge
-}
+type GaugeVec struct{ labeled[Gauge] }
 
 // With returns the gauge for the given label values, creating it on first
-// use. The fast path for an existing series is a read lock.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if len(values) != v.width {
-		panic(fmt.Sprintf("metrics: %d label values for %d labels", len(values), v.width))
-	}
-	k := labelKey(values)
-	v.mu.RLock()
-	g, ok := v.series[k]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok = v.series[k]; !ok {
-		g = &Gauge{}
-		v.series[k] = g
-	}
-	return g
-}
+// use.
+func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values) }
 
 // FloatGaugeVec is a float-gauge family keyed by label values.
-type FloatGaugeVec struct {
-	mu     sync.RWMutex
-	width  int
-	series map[string]*FloatGauge
-}
+type FloatGaugeVec struct{ labeled[FloatGauge] }
 
 // With returns the float gauge for the given label values, creating it on
-// first use. The fast path for an existing series is a read lock.
-func (v *FloatGaugeVec) With(values ...string) *FloatGauge {
-	if len(values) != v.width {
-		panic(fmt.Sprintf("metrics: %d label values for %d labels", len(values), v.width))
-	}
-	k := labelKey(values)
-	v.mu.RLock()
-	g, ok := v.series[k]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok = v.series[k]; !ok {
-		g = &FloatGauge{}
-		v.series[k] = g
-	}
-	return g
-}
+// first use.
+func (v *FloatGaugeVec) With(values ...string) *FloatGauge { return v.with(values) }
 
 // HistogramVec is a histogram family keyed by label values.
-type HistogramVec struct {
-	mu     sync.RWMutex
-	width  int
-	bounds []float64
-	series map[string]*Histogram
-}
+type HistogramVec struct{ labeled[Histogram] }
 
 // With returns the histogram for the given label values, creating it on
 // first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != v.width {
-		panic(fmt.Sprintf("metrics: %d label values for %d labels", len(values), v.width))
-	}
-	k := labelKey(values)
-	v.mu.RLock()
-	h, ok := v.series[k]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.series[k]; !ok {
-		h = NewHistogram(v.bounds)
-		v.series[k] = h
-	}
-	return h
-}
+func (v *HistogramVec) With(values ...string) *Histogram { return v.with(values) }
 
 // WritePrometheus renders every family in the Prometheus text exposition
 // format (version 0.0.4), series sorted by label values so output is

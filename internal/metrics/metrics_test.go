@@ -484,3 +484,30 @@ func TestGaugeVec(t *testing.T) {
 		t.Fatalf("duplicate series for one label value:\n%s", out)
 	}
 }
+
+// TestVecWithAllocatesNothing pins the lookup of an existing series on
+// every labeled vector: the key is built on the stack, so a 2-label With
+// allocates nothing, NUL-sanitized values included.
+func TestVecWithAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("c_total", "c", "model", "outcome")
+	gv := r.GaugeVec("g", "g", "model", "outcome")
+	fv := r.FloatGaugeVec("f", "f", "model", "outcome")
+	hv := r.HistogramVec("h", "h", nil, "model", "outcome")
+	model, outcome := "phase2-tree-cp8", "matched"
+	for _, o := range []string{outcome, "a\x00b"} {
+		cv.With(model, o).Inc()
+		gv.With(model, o).Set(1)
+		fv.With(model, o).Set(1)
+		hv.With(model, o).Observe(1)
+		n := testing.AllocsPerRun(100, func() {
+			cv.With(model, o).Inc()
+			gv.With(model, o).Set(2)
+			fv.With(model, o).Set(0.5)
+			hv.With(model, o).Observe(0.5)
+		})
+		if n != 0 {
+			t.Errorf("With(%q, %q) on existing series allocates %v times", model, o, n)
+		}
+	}
+}

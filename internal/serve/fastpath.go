@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -108,6 +109,18 @@ func readBody(w http.ResponseWriter, req *http.Request, limit int64, buf []byte)
 			return buf, err
 		}
 	}
+}
+
+// writeBodyError answers a readBody failure: 413 naming the limit for a
+// body over it, 400 for any other read error.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed request: %v", err))
 }
 
 // unknownModelError is the resolve-callback error for a model name not in

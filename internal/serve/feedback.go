@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -35,22 +34,6 @@ var brierBuckets = []float64{0.01, 0.025, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1}
 // score, unbounded above (clamped by eval.LogLossClamp) for confident
 // misses.
 var loglossBuckets = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2, 4, 8, 16}
-
-// FeedbackLabel is one delayed ground-truth observation: the segment the
-// label is for and whether it turned out crash-prone.
-type FeedbackLabel struct {
-	SegmentID  *float64 `json:"segment_id"`
-	CrashProne *bool    `json:"crash_prone"`
-}
-
-// FeedbackRequest is the POST /feedback body. Version optionally pins the
-// labels to one model version; when empty each label joins every version
-// that scored the segment inside the join window (incumbent and shadow).
-type FeedbackRequest struct {
-	Model   string          `json:"model"`
-	Version string          `json:"version,omitempty"`
-	Labels  []FeedbackLabel `json:"labels"`
-}
 
 // FeedbackResponse answers POST /feedback with per-outcome label counts
 // and the model's drift alarm state after ingestion.
@@ -88,11 +71,14 @@ type PromoteResponse struct {
 	Models   []string `json:"models"`
 }
 
-// scoreEntry is one served score awaiting its label.
+// scoreEntry is one served score awaiting its label. next chains the
+// entries of one segment id, one per model version that scored it, newest
+// first; -1 ends the chain.
 type scoreEntry struct {
 	id      int64
 	version string
 	risk    float64
+	next    int32
 	matched bool
 	valid   bool
 }
@@ -107,14 +93,17 @@ type versionStats struct {
 
 // modelFeedback is one model's join window and drift state. The ring
 // holds the last FeedbackWindow served scores across all versions
-// (incumbent and shadow share it), indexed by segment id and version;
-// matched entries stay until FIFO eviction so a second label for the same
-// scored row is reported as a duplicate, not silently re-counted.
+// (incumbent and shadow share it). The index maps a segment id to the
+// ring slot of its newest entry, whose next links lead to the id's
+// entries for other versions, so the whole index is one flat map sized to
+// the window. Matched entries stay until FIFO eviction so a second label
+// for the same scored row is reported as a duplicate, not silently
+// re-counted.
 type modelFeedback struct {
 	mu     sync.Mutex
 	ring   []scoreEntry
 	next   int
-	index  map[int64]map[string]int // segment id -> version -> ring slot
+	index  map[int64]int32 // segment id -> ring slot of its newest entry
 	stats  map[string]*versionStats
 	firing bool
 }
@@ -149,7 +138,7 @@ func (f *feedbackState) forModel(name string) *modelFeedback {
 	if mf == nil {
 		mf = &modelFeedback{
 			ring:  make([]scoreEntry, f.window),
-			index: make(map[int64]map[string]int),
+			index: make(map[int64]int32, f.window),
 			stats: make(map[string]*versionStats),
 		}
 		f.models[name] = mf
@@ -181,44 +170,68 @@ func (mf *modelFeedback) statsFor(version string, rolling int) *versionStats {
 	return st
 }
 
+// headLocked returns the ring slot of id's newest entry, or -1 when the
+// window holds none. Caller holds mf.mu.
+func (mf *modelFeedback) headLocked(id int64) int32 {
+	if slot, ok := mf.index[id]; ok {
+		return slot
+	}
+	return -1
+}
+
 // recordLocked files one served score into the join window, evicting the
 // oldest entry when full. Re-scoring a (segment, version) pair overwrites
 // in place — the latest served score is the one a label grades. Caller
 // holds mf.mu.
 func (mf *modelFeedback) recordLocked(id int64, version string, risk float64) {
-	if byV := mf.index[id]; byV != nil {
-		if slot, ok := byV[version]; ok {
-			mf.ring[slot].risk = risk
-			mf.ring[slot].matched = false
+	for slot := mf.headLocked(id); slot >= 0; slot = mf.ring[slot].next {
+		if e := &mf.ring[slot]; e.version == version {
+			e.risk = risk
+			e.matched = false
 			return
 		}
 	}
-	slot := mf.next
-	if old := &mf.ring[slot]; old.valid {
-		if byV := mf.index[old.id]; byV != nil && byV[old.version] == slot {
-			delete(byV, old.version)
-			if len(byV) == 0 {
-				delete(mf.index, old.id)
-			}
-		}
+	slot := int32(mf.next)
+	if mf.ring[slot].valid {
+		mf.unlinkLocked(slot)
 	}
-	mf.ring[slot] = scoreEntry{id: id, version: version, risk: risk, valid: true}
-	byV := mf.index[id]
-	if byV == nil {
-		byV = make(map[string]int, 2)
-		mf.index[id] = byV
-	}
-	byV[version] = slot
+	mf.ring[slot] = scoreEntry{id: id, version: version, risk: risk, next: mf.headLocked(id), valid: true}
+	mf.index[id] = slot
 	mf.next = (mf.next + 1) % len(mf.ring)
 }
 
-// Label-join outcomes, the values of the outcome label on
-// crashprone_feedback_labels_total.
+// unlinkLocked removes the entry in ring slot from its segment's chain,
+// and the segment from the index when it was the last. Only eviction
+// unlinks, and the evicted entry is the oldest in the ring, so it is the
+// tail of its chain: chains are kept newest first and re-scoring moves
+// no entry. Caller holds mf.mu.
+func (mf *modelFeedback) unlinkLocked(slot int32) {
+	id := mf.ring[slot].id
+	p := mf.index[id]
+	if p == slot {
+		delete(mf.index, id)
+		return
+	}
+	for mf.ring[p].next != slot {
+		p = mf.ring[p].next
+	}
+	mf.ring[p].next = -1
+}
+
+// Label-join outcomes: ingestLabel returns one as an index into
+// outcomeNames, which holds the outcome label values of
+// crashprone_feedback_labels_total and the keys of a response's outcomes.
 const (
-	outcomeMatched   = "matched"
-	outcomeDuplicate = "duplicate"
-	outcomeUnmatched = "unmatched"
+	outcomeMatched = iota
+	outcomeDuplicate
+	outcomeUnmatched
 )
+
+var outcomeNames = [...]string{
+	outcomeMatched:   "matched",
+	outcomeDuplicate: "duplicate",
+	outcomeUnmatched: "unmatched",
+}
 
 // ingestLabel grades one label against the join window. For a match it
 // updates the rolling stats of every version whose served score for the
@@ -227,28 +240,31 @@ const (
 // entry at all is unmatched — the score aged out of the window (or was
 // never served here); an id whose entries were all labelled already is a
 // duplicate.
-func (s *Server) ingestLabel(name string, mf *modelFeedback, id int64, y float64, version string) string {
+func (s *Server) ingestLabel(name string, mf *modelFeedback, id int64, y float64, version string) int {
 	type sample struct {
 		version        string
 		brier, logloss float64
 	}
-	var samples []sample
+	// One sample per version that scored the segment: the incumbent, a
+	// shadow candidate, and incumbents promoted away while their scores
+	// were in the window. Four fit every case but a chain of promotions.
+	var buf [4]sample
+	samples := buf[:0]
 
 	mf.mu.Lock()
-	byV := mf.index[id]
 	fresh, seen := 0, 0
-	for v, slot := range byV {
-		if version != "" && v != version {
+	for slot := mf.headLocked(id); slot >= 0; slot = mf.ring[slot].next {
+		e := &mf.ring[slot]
+		if version != "" && e.version != version {
 			continue
 		}
 		seen++
-		e := &mf.ring[slot]
 		if e.matched {
 			continue
 		}
 		e.matched = true
 		fresh++
-		st := mf.statsFor(v, s.feedback.rolling)
+		st := mf.statsFor(e.version, s.feedback.rolling)
 		// The per-label contributions come from the shared eval scoring
 		// functions so the offline hotspot evaluation and this online window
 		// grade predictions identically — the drift thresholds depend on it.
@@ -256,7 +272,7 @@ func (s *Server) ingestLabel(name string, mf *modelFeedback, id int64, y float64
 		logloss := eval.LogLossPoint(e.risk, y)
 		st.brier.Add(brier)
 		st.logloss.Add(logloss)
-		samples = append(samples, sample{version: v, brier: brier, logloss: logloss})
+		samples = append(samples, sample{version: e.version, brier: brier, logloss: logloss})
 	}
 	mf.mu.Unlock()
 
@@ -420,67 +436,65 @@ func (m *Model) putFeedbackScoreState(st *scoreState) {
 	m.fbPool.Put(st)
 }
 
+// feedbackBufs is the reusable storage of one /feedback request: the body
+// read buffer and the decoded label columns.
+type feedbackBufs struct {
+	body []byte
+	req  data.FeedbackRequest
+}
+
+var feedbackBufPool = sync.Pool{New: func() any { return new(feedbackBufs) }}
+
+// putFeedbackBufs pools b unless a large request grew it: the label
+// columns (8 bytes a label each) get the byte buffers' 1 MiB cap.
+func putFeedbackBufs(b *feedbackBufs) {
+	if cap(b.body) > maxPooledBuf {
+		b.body = nil
+	}
+	if 8*max(cap(b.req.IDs), cap(b.req.Labels)) > maxPooledBuf {
+		b.req.IDs, b.req.Labels = nil, nil
+	}
+	feedbackBufPool.Put(b)
+}
+
 // handleFeedback ingests delayed labels: POST {"model": ..., "labels":
-// [{"segment_id": ..., "crash_prone": ...}, ...]}. The request is
-// validated whole before any label is applied, every label is graded
-// matched/duplicate/unmatched against the join window, the model's drift
-// alarm is re-evaluated, and — with AutoPromote on — the promotion gate
-// runs.
+// [{"segment_id": ..., "crash_prone": ...}, ...]}. As on /score, the body
+// is read whole into a pooled buffer and decoded in one pass, here into
+// pooled label columns. The request is validated whole before any label
+// is applied, every label is graded matched/duplicate/unmatched against
+// the join window, the model's drift alarm is re-evaluated, and — with
+// AutoPromote on — the promotion gate runs.
 func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var fr FeedbackRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&fr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed request: %v", err))
+	bufs := feedbackBufPool.Get().(*feedbackBufs)
+	defer putFeedbackBufs(bufs)
+	body, err := readBody(w, req, s.cfg.MaxBodyBytes, bufs.body)
+	bufs.body = body
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
-	if fr.Model == "" {
-		writeError(w, http.StatusBadRequest, "missing model name")
+	fr := &bufs.req
+	m, status, msg := s.parseFeedback(body, fr)
+	if status != http.StatusOK {
+		writeError(w, status, msg)
 		return
-	}
-	m, ok := s.reg.Get(fr.Model)
-	if !ok {
-		s.fbLabels.With(fr.Model, "unknown_model").Add(uint64(len(fr.Labels)))
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", fr.Model))
-		return
-	}
-	if fr.Version != "" && !s.knownVersion(fr.Model, m, fr.Version) {
-		s.fbLabels.With(fr.Model, "unknown_version").Add(uint64(len(fr.Labels)))
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown version %q for model %q (serving %s)", fr.Version, fr.Model, m.Version))
-		return
-	}
-	if len(fr.Labels) == 0 {
-		writeError(w, http.StatusBadRequest, "no labels to ingest")
-		return
-	}
-	for i, l := range fr.Labels {
-		switch {
-		case l.SegmentID == nil:
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("label %d: missing segment_id", i))
-			return
-		case *l.SegmentID != math.Trunc(*l.SegmentID) || math.IsInf(*l.SegmentID, 0):
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("label %d: segment_id %v is not an integer", i, *l.SegmentID))
-			return
-		case l.CrashProne == nil:
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("label %d: missing crash_prone", i))
-			return
-		}
 	}
 
 	mf := s.feedback.forModel(fr.Model)
-	outcomes := make(map[string]int)
-	for _, l := range fr.Labels {
-		y := 0.0
-		if *l.CrashProne {
-			y = 1
+	var counts [len(outcomeNames)]int
+	for i, id := range fr.IDs {
+		counts[s.ingestLabel(fr.Model, mf, int64(id), fr.Labels[i], fr.Version)]++
+	}
+	outcomes := make(map[string]int, len(counts))
+	for o, n := range counts {
+		if n > 0 {
+			outcomes[outcomeNames[o]] = n
+			s.fbLabels.With(fr.Model, outcomeNames[o]).Add(uint64(n))
 		}
-		outcome := s.ingestLabel(fr.Model, mf, int64(*l.SegmentID), y, fr.Version)
-		outcomes[outcome]++
-		s.fbLabels.With(fr.Model, outcome).Inc()
 	}
 	snap := s.evaluateDrift(fr.Model, m.Version)
 	resp := FeedbackResponse{Model: fr.Model, Outcomes: outcomes, Alarm: snap.firing}
@@ -490,6 +504,44 @@ func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// parseFeedback decodes a /feedback body into fr and validates it whole,
+// before any label is applied. It reports the first problem in this
+// order: malformed body, missing model name, unknown model (404), unknown
+// version (404), no labels, then the lowest bad label. It returns the
+// serving model and 200, or the status and message to answer with.
+func (s *Server) parseFeedback(body []byte, fr *data.FeedbackRequest) (*Model, int, string) {
+	if err := data.ParseFeedbackRequest(body, fr); err != nil {
+		return nil, http.StatusBadRequest, fmt.Sprintf("malformed request: %v", err)
+	}
+	if fr.Model == "" {
+		return nil, http.StatusBadRequest, "missing model name"
+	}
+	m, ok := s.reg.Get(fr.Model)
+	if !ok {
+		s.fbLabels.With(fr.Model, "unknown_model").Add(uint64(len(fr.IDs)))
+		return nil, http.StatusNotFound, fmt.Sprintf("unknown model %q", fr.Model)
+	}
+	if fr.Version != "" && !s.knownVersion(fr.Model, m, fr.Version) {
+		s.fbLabels.With(fr.Model, "unknown_version").Add(uint64(len(fr.IDs)))
+		return nil, http.StatusNotFound,
+			fmt.Sprintf("unknown version %q for model %q (serving %s)", fr.Version, fr.Model, m.Version)
+	}
+	if len(fr.IDs) == 0 {
+		return nil, http.StatusBadRequest, "no labels to ingest"
+	}
+	for i, id := range fr.IDs {
+		switch {
+		case data.IsMissing(id):
+			return nil, http.StatusBadRequest, fmt.Sprintf("label %d: missing segment_id", i)
+		case id != math.Trunc(id) || math.IsInf(id, 0):
+			return nil, http.StatusBadRequest, fmt.Sprintf("label %d: segment_id %v is not an integer", i, id)
+		case data.IsMissing(fr.Labels[i]):
+			return nil, http.StatusBadRequest, fmt.Sprintf("label %d: missing crash_prone", i)
+		}
+	}
+	return m, http.StatusOK, ""
 }
 
 // knownVersion reports whether version names the incumbent, the staged

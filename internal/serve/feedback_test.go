@@ -16,6 +16,23 @@ import (
 	"roadcrash/internal/mining/tree"
 )
 
+// FeedbackLabel is one label of a POST /feedback body, the shape the
+// handler decoded with encoding/json before it had its own parser. Tests
+// build bodies with it, and FuzzFeedbackRequest decodes into it as the
+// reference.
+type FeedbackLabel struct {
+	SegmentID  *float64 `json:"segment_id"`
+	CrashProne *bool    `json:"crash_prone"`
+}
+
+// FeedbackRequest is a POST /feedback body in the same encoding/json
+// shape as FeedbackLabel.
+type FeedbackRequest struct {
+	Model   string          `json:"model"`
+	Version string          `json:"version,omitempty"`
+	Labels  []FeedbackLabel `json:"labels"`
+}
+
 // leafArtifact trains a deliberately unsplittable tree — one constant
 // feature, so the root stays a leaf — whose every prediction is exactly
 // the Laplace-smoothed class rate (pos+1)/(pos+neg+2). Feedback tests
@@ -132,12 +149,14 @@ func postLabels(t *testing.T, url, model, version string, y bool, ids ...int64) 
 }
 
 // TestFeedbackErrorTable pins every /feedback failure mode: method,
-// malformed body, request-level validation, unknown model and version,
-// and per-label validation — each with its status and message.
+// malformed body, framing (trailing data, a body over the limit),
+// request-level validation, unknown model and version, and per-label
+// validation — each with its status and message.
 func TestFeedbackErrorTable(t *testing.T) {
 	dir := t.TempDir()
 	writeLeafModel(t, dir, "m", 6, 2)
-	srv := newFeedbackServer(t, dir, Config{FeedbackWindow: 16})
+	srv := newFeedbackServer(t, dir, Config{FeedbackWindow: 16, MaxBodyBytes: 200})
+	const label1 = `{"model":"m","labels":[{"segment_id":1,"crash_prone":true}]}`
 
 	if resp, err := http.Get(srv.URL + "/feedback"); err != nil || resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /feedback: %v %v", resp.StatusCode, err)
@@ -152,6 +171,10 @@ func TestFeedbackErrorTable(t *testing.T) {
 		wantErr string
 	}{
 		{"malformed", `{"model":`, http.StatusBadRequest, "malformed request"},
+		{"trailing data", label1 + ` x`, http.StatusBadRequest, "malformed request"},
+		{"two objects", label1 + label1, http.StatusBadRequest, "malformed request"},
+		{"trailing data past the limit", label1 + strings.Repeat(" x", 100), http.StatusRequestEntityTooLarge, "request body exceeds the 200-byte limit"},
+		{"oversized", `{"model":"m","labels":[` + strings.Repeat(`{"segment_id":1,"crash_prone":true},`, 6) + `{}]}`, http.StatusRequestEntityTooLarge, "request body exceeds the 200-byte limit"},
 		{"missing model", `{"labels":[{"segment_id":1,"crash_prone":true}]}`, http.StatusBadRequest, "missing model name"},
 		{"unknown model", `{"model":"nope","labels":[{"segment_id":1,"crash_prone":true}]}`, http.StatusNotFound, `unknown model \"nope\"`},
 		{"unknown version", `{"model":"m","version":"bogus","labels":[{"segment_id":1,"crash_prone":true}]}`, http.StatusNotFound, `unknown version \"bogus\"`},
@@ -172,7 +195,7 @@ func TestFeedbackErrorTable(t *testing.T) {
 	// grades unmatched (nothing scored), not duplicate.
 	scoreIDs(t, srv.URL, "m", 1)
 	resp := postLabels(t, srv.URL, "m", "", true, 1)
-	if resp.Outcomes[outcomeMatched] != 1 {
+	if resp.Outcomes["matched"] != 1 {
 		t.Fatalf("label after rejected batches graded %v, want one match", resp.Outcomes)
 	}
 }
@@ -201,35 +224,50 @@ func TestFeedbackJoinOutcomes(t *testing.T) {
 	srv := newFeedbackServer(t, dir, Config{FeedbackWindow: 4, MinFeedback: 1 << 30})
 
 	scoreIDs(t, srv.URL, "m", 1, 2)
-	if resp := postLabels(t, srv.URL, "m", "", true, 1); resp.Outcomes[outcomeMatched] != 1 {
+	if resp := postLabels(t, srv.URL, "m", "", true, 1); resp.Outcomes["matched"] != 1 {
 		t.Fatalf("first label: %v", resp.Outcomes)
 	}
-	if resp := postLabels(t, srv.URL, "m", "", true, 1); resp.Outcomes[outcomeDuplicate] != 1 {
+	if resp := postLabels(t, srv.URL, "m", "", true, 1); resp.Outcomes["duplicate"] != 1 {
 		t.Fatalf("repeated label: %v", resp.Outcomes)
 	}
-	if resp := postLabels(t, srv.URL, "m", "", true, 99); resp.Outcomes[outcomeUnmatched] != 1 {
+	if resp := postLabels(t, srv.URL, "m", "", true, 99); resp.Outcomes["unmatched"] != 1 {
 		t.Fatalf("never-scored label: %v", resp.Outcomes)
 	}
 	// Re-scoring a labelled segment arms it again: the next label grades
 	// the fresh score instead of reporting a duplicate.
 	scoreIDs(t, srv.URL, "m", 1)
-	if resp := postLabels(t, srv.URL, "m", "", true, 1); resp.Outcomes[outcomeMatched] != 1 {
+	if resp := postLabels(t, srv.URL, "m", "", true, 1); resp.Outcomes["matched"] != 1 {
 		t.Fatalf("label after re-score: %v", resp.Outcomes)
 	}
 	// The window holds 4 scores; scoring 4 fresh segments evicts ids 1 and
 	// 2, whose late labels now land unmatched — the expiry failure mode.
 	scoreIDs(t, srv.URL, "m", 3, 4, 5, 6)
-	if resp := postLabels(t, srv.URL, "m", "", true, 2); resp.Outcomes[outcomeUnmatched] != 1 {
+	if resp := postLabels(t, srv.URL, "m", "", true, 2); resp.Outcomes["unmatched"] != 1 {
 		t.Fatalf("label for an evicted score: %v", resp.Outcomes)
 	}
 	// Mixed batch: one fresh match, one duplicate, one unmatched.
 	scoreIDs(t, srv.URL, "m", 5)
 	postLabels(t, srv.URL, "m", "", true, 6)
 	resp := postLabels(t, srv.URL, "m", "", true, 5, 6, 77)
-	want := map[string]int{outcomeMatched: 1, outcomeDuplicate: 1, outcomeUnmatched: 1}
+	want := map[string]int{"matched": 1, "duplicate": 1, "unmatched": 1}
 	for k, n := range want {
 		if resp.Outcomes[k] != n {
 			t.Fatalf("mixed batch: %v, want %v", resp.Outcomes, want)
+		}
+	}
+	// Each request's outcome counts reach crashprone_feedback_labels_total
+	// whole: 4 matched, 2 duplicates and 3 unmatched above, 3 more here.
+	postLabels(t, srv.URL, "m", "", true, 80, 81, 82)
+	mResp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(mResp.Body)
+	mResp.Body.Close()
+	for outcome, n := range map[string]int{"matched": 4, "duplicate": 2, "unmatched": 6} {
+		line := fmt.Sprintf(`crashprone_feedback_labels_total{model="m",outcome=%q} %d`, outcome, n)
+		if !bytes.Contains(body, []byte(line+"\n")) {
+			t.Errorf("/metrics lacks %q", line)
 		}
 	}
 }
@@ -408,7 +446,7 @@ func TestShadowPromotionGateAndCommit(t *testing.T) {
 	// label count must not move.
 	scoreIDs(t, srv.URL, "m", 11)
 	fbResp := postLabels(t, srv.URL, "m", incumbent, false, 11)
-	if fbResp.Outcomes[outcomeMatched] != 1 {
+	if fbResp.Outcomes["matched"] != 1 {
 		t.Fatalf("version-pinned label: %v", fbResp.Outcomes)
 	}
 	resp, err = http.Get(srv.URL + "/shadow")
@@ -452,7 +490,7 @@ func TestShadowPromotionGateAndCommit(t *testing.T) {
 	// Late labels for the replaced incumbent's version still ingest — its
 	// stats are on the books until they age out.
 	fbResp = postLabels(t, srv.URL, "m", incumbent, false, 11)
-	if fbResp.Outcomes[outcomeDuplicate] != 1 {
+	if fbResp.Outcomes["duplicate"] != 1 {
 		t.Fatalf("late label for the replaced version: %v", fbResp.Outcomes)
 	}
 }

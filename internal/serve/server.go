@@ -48,10 +48,10 @@ type Config struct {
 	// sending or a client that stops reading is still cut off. Default
 	// 30s.
 	StreamTimeout time.Duration
-	// MaxBodyBytes caps the /score request body. Default 64 MiB, which
-	// comfortably fits MaxBatch fully-populated segments. The streaming
-	// endpoint reads its body incrementally and is bounded per line
-	// instead.
+	// MaxBodyBytes caps the /score and /feedback request bodies; a
+	// larger body is answered 413. Default 64 MiB, which comfortably fits
+	// MaxBatch fully-populated segments. The streaming endpoint reads its
+	// body incrementally and is bounded per line instead.
 	MaxBodyBytes int64
 	// RetryAfter is the backoff hint sent in the Retry-After header of a
 	// 429 rejection. Deployments that know their drain rate (roughly
@@ -539,13 +539,7 @@ func (s *Server) handleScore(w http.ResponseWriter, req *http.Request) {
 	body, err := readBody(w, req, s.cfg.MaxBodyBytes, bufs.body)
 	bufs.body = body
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed request: %v", err))
-		}
+		writeBodyError(w, err)
 		return
 	}
 
