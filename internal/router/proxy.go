@@ -8,7 +8,10 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
+
+	"roadcrash/internal/serve"
 )
 
 // attemptResult is one routed attempt against one replica: either a
@@ -84,37 +87,33 @@ func (rt *Router) send(parent context.Context, rep *replica, method, path string
 	return res
 }
 
-// handleScore routes a batch scoring request with retries and optional
-// hedging. The body is fully buffered (it is bounded), so every attempt
-// replays it verbatim — the call is idempotent by construction.
-func (rt *Router) handleScore(w http.ResponseWriter, req *http.Request) {
-	rt.routeBuffered(w, req, "/score")
-}
-
-// handleModels proxies the model listing with the same retry discipline
-// as a batch call.
-func (rt *Router) handleModels(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		rt.countAndError(w, "/models", http.StatusMethodNotAllowed, "GET only")
-		return
+// buffered returns the handler of a bufferable call (POST /score, GET
+// /models, GET /hotspots): the body is read whole and every attempt
+// replays it verbatim, so the call is idempotent by construction and is
+// retried and hedged.
+func (rt *Router) buffered(method, endpoint string) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if req.Method != method {
+			rt.countAndError(w, endpoint, http.StatusMethodNotAllowed, method+" only")
+			return
+		}
+		rt.routeBuffered(w, req, endpoint)
 	}
-	rt.routeBuffered(w, req, "/models")
 }
 
-// routeBuffered is the shared retry+hedge engine for bufferable calls
-// (POST /score, GET /models).
+// routeBuffered is the shared retry+hedge engine for bufferable calls.
 func (rt *Router) routeBuffered(w http.ResponseWriter, req *http.Request, endpoint string) {
 	start := time.Now()
-	if endpoint == "/score" && req.Method != http.MethodPost {
-		rt.countAndError(w, endpoint, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, rt.cfg.MaxBodyBytes))
+	// The replica's body reader, so a body error gets the replica's
+	// answer. The buffer is never pooled: a hedge loser and the
+	// transport's write loop may still read it after this handler returns.
+	body, err := serve.ReadBody(w, req, rt.cfg.MaxBodyBytes, nil)
 	if err != nil {
-		rt.countAndError(w, endpoint, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
+		status, msg := serve.BodyError(err)
+		rt.countAndError(w, endpoint, status, msg)
 		return
 	}
+	path := upstreamPath(endpoint, req)
 
 	tried := make(map[*replica]bool)
 	var last attemptResult
@@ -126,7 +125,7 @@ func (rt *Router) routeBuffered(w http.ResponseWriter, req *http.Request, endpoi
 				return
 			}
 		}
-		res, routed := rt.round(req, endpoint, body, tried)
+		res, routed := rt.round(req, path, body, tried)
 		if !routed {
 			rt.writeNoReplicas(w, endpoint)
 			return
@@ -140,11 +139,21 @@ func (rt *Router) routeBuffered(w http.ResponseWriter, req *http.Request, endpoi
 	rt.writeExhausted(w, endpoint, last)
 }
 
+// upstreamPath is the replica path for a routed call: the endpoint plus
+// the client's query string (?model= on a stream, ?model=&k= on
+// /hotspots).
+func upstreamPath(endpoint string, req *http.Request) string {
+	if q := req.URL.RawQuery; q != "" {
+		return endpoint + "?" + q
+	}
+	return endpoint
+}
+
 // round performs one retry-loop round: a single attempt, or — when
 // hedging is enabled — a primary attempt raced against a delayed hedge on
 // a different replica. The second return is false when no replica was
 // eligible.
-func (rt *Router) round(req *http.Request, endpoint string, body []byte, tried map[*replica]bool) (attemptResult, bool) {
+func (rt *Router) round(req *http.Request, path string, body []byte, tried map[*replica]bool) (attemptResult, bool) {
 	primary := rt.pickPreferFresh(tried)
 	if primary == nil {
 		return attemptResult{}, false
@@ -152,14 +161,14 @@ func (rt *Router) round(req *http.Request, endpoint string, body []byte, tried m
 	tried[primary] = true
 
 	if rt.cfg.HedgeAfter <= 0 {
-		return rt.send(req.Context(), primary, req.Method, endpoint, req.Header, bytes.NewReader(body)), true
+		return rt.send(req.Context(), primary, req.Method, path, req.Header, bytes.NewReader(body)), true
 	}
 
 	ch := make(chan attemptResult, 2)
 	launch := func(rep *replica, hedge bool) context.CancelFunc {
 		actx, acancel := context.WithCancel(req.Context())
 		go func() {
-			res := rt.send(actx, rep, req.Method, endpoint, req.Header, bytes.NewReader(body))
+			res := rt.send(actx, rep, req.Method, path, req.Header, bytes.NewReader(body))
 			res.hedge = hedge
 			ch <- res
 		}()
@@ -224,16 +233,33 @@ func (rt *Router) round(req *http.Request, endpoint string, body []byte, tried m
 	return results[len(results)-1], true
 }
 
-// forward streams a final response back to the client and records the
-// request metrics.
+// forward relays a final response to the client and records the request
+// metrics.
 func (rt *Router) forward(w http.ResponseWriter, res attemptResult, endpoint string, start time.Time) {
 	defer res.cancel()
 	defer res.resp.Body.Close()
 	copyHeader(w.Header(), res.resp.Header)
 	w.WriteHeader(res.resp.StatusCode)
-	io.Copy(w, res.resp.Body)
+	relay(w, res.resp.Body)
 	rt.requests.With(endpoint, strconv.Itoa(res.resp.StatusCode)).Inc()
 	rt.latency.With(endpoint).Observe(time.Since(start).Seconds())
+}
+
+// relayBufPool holds the copy buffers relay moves answers through.
+var relayBufPool = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// relay copies an upstream answer into w. The anonymous struct hides w's
+// io.ReaderFrom from io.CopyBuffer: net/http's ReadFrom sends the headers
+// with the first 512 bytes and hands the rest to the socket in a second
+// write, allocating a 32 KiB buffer for it, while plain writes fill the
+// server's response buffer, so an answer that fits leaves in one write
+// when the handler returns. A failed copy needs no answer: the status is
+// already sent, and net/http closes a connection whose body falls short
+// of its Content-Length.
+func relay(w io.Writer, body io.Reader) {
+	buf := relayBufPool.Get().(*[32 << 10]byte)
+	defer relayBufPool.Put(buf)
+	io.CopyBuffer(struct{ io.Writer }{w}, body, buf[:])
 }
 
 // statusClientClosed is nginx's 499: the client went away before the

@@ -22,8 +22,9 @@
 //     Registry.ReloadDir semantics one level up.
 //
 // The router exposes the same probe surface as a replica (GET /healthz,
-// GET /metrics, GET /models), so load generators and supervisors cannot
-// tell the tiers apart.
+// GET /metrics, GET /models) and forwards GET /hotspots like the model
+// listing, so load generators and supervisors cannot tell the tiers
+// apart.
 package router
 
 import (
@@ -275,9 +276,10 @@ func New(cfg Config) (*Router, error) {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/score", rt.handleScore)
+	mux.HandleFunc("/score", rt.buffered(http.MethodPost, "/score"))
 	mux.HandleFunc("/score/stream", rt.handleStream)
-	mux.HandleFunc("/models", rt.handleModels)
+	mux.HandleFunc("/models", rt.buffered(http.MethodGet, "/models"))
+	mux.HandleFunc("/hotspots", rt.buffered(http.MethodGet, "/hotspots"))
 	mux.HandleFunc("/healthz", rt.handleHealthz)
 	mux.HandleFunc("/metrics", rt.handleMetrics)
 	mux.HandleFunc("/reload", rt.handleReload)

@@ -25,7 +25,7 @@ import (
 // caller-chosen labeling rule, persists it under name into dir and
 // returns the in-process tree (mirrors the serve package's fixture, so
 // router tests can assert routed scores bit-identical to direct ones).
-func trainModel(t *testing.T, dir, name string, label func(aadt, surface float64) bool) *tree.Tree {
+func trainModel(t testing.TB, dir, name string, label func(aadt, surface float64) bool) *tree.Tree {
 	t.Helper()
 	r := rng.New(21)
 	b := data.NewBuilder("net").
@@ -63,7 +63,7 @@ func labelV1(aadt, surface float64) bool { return aadt > 2400 || (surface == 1 &
 func labelV2(aadt, surface float64) bool { return aadt < 2000 }
 
 // startReplica boots a real serve replica over the artifacts in dir.
-func startReplica(t *testing.T, dir string, cfg serve.Config) *httptest.Server {
+func startReplica(t testing.TB, dir string, cfg serve.Config) *httptest.Server {
 	t.Helper()
 	reg := serve.NewRegistry()
 	if _, err := reg.LoadDir(dir); err != nil {
@@ -93,7 +93,7 @@ func fakeReplica(t *testing.T, score http.HandlerFunc) *httptest.Server {
 
 // newTestRouter builds, starts and serves a router, with fast test
 // defaults for any unset retry knobs.
-func newTestRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
+func newTestRouter(t testing.TB, cfg Config) (*Router, *httptest.Server) {
 	t.Helper()
 	if cfg.RetryBaseDelay == 0 {
 		cfg.RetryBaseDelay = time.Millisecond

@@ -86,10 +86,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 		rt.countAndError(w, endpoint, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	path := endpoint
-	if q := req.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
+	path := upstreamPath(endpoint, req)
 
 	rb := &replayBody{src: req.Body, cap: rt.cfg.StreamReplayBytes}
 	tried := make(map[*replica]bool)
@@ -183,7 +180,7 @@ func (rt *Router) forwardStream(w http.ResponseWriter, req *http.Request, res at
 	w.Header().Del("Content-Length") // relayed line-by-line; length unknown
 	w.WriteHeader(res.resp.StatusCode)
 	if res.resp.StatusCode != http.StatusOK {
-		io.Copy(w, res.resp.Body)
+		relay(w, res.resp.Body)
 		return
 	}
 

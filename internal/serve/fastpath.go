@@ -85,16 +85,23 @@ func putScoreBufs(b *scoreBufs) {
 	scoreBufPool.Put(b)
 }
 
-// readBody reads the whole request body into buf (reused across requests),
-// enforcing the byte limit via http.MaxBytesReader so an oversized body
-// surfaces as *http.MaxBytesError and closes the connection exactly as the
-// generic path did.
-func readBody(w http.ResponseWriter, req *http.Request, limit int64, buf []byte) ([]byte, error) {
+// ReadBody reads the whole request body into buf, which the caller may
+// reuse across requests (nil allocates), enforcing the byte limit via
+// http.MaxBytesReader so an oversized body surfaces as
+// *http.MaxBytesError and closes the connection. The buffer is presized
+// to the declared Content-Length, but to at most 1 MiB: a client that
+// declares a length it never sends cannot make the server allocate it up
+// front, and a longer body grows the buffer only as its bytes arrive.
+// The router reads its batch bodies with it too, so both tiers treat a
+// body alike; BodyError gives the answer to a failure.
+func ReadBody(w http.ResponseWriter, req *http.Request, limit int64, buf []byte) ([]byte, error) {
 	r := http.MaxBytesReader(w, req.Body, limit)
 	buf = buf[:0]
-	if n := req.ContentLength; n > 0 && n <= limit && int64(cap(buf)) < n+1 {
+	if n := req.ContentLength; n > 0 && n <= limit {
 		// +1 so the final Read can return 0, io.EOF without a growth step.
-		buf = make([]byte, 0, n+1)
+		if want := min(n+1, maxPooledBuf); int64(cap(buf)) < want {
+			buf = make([]byte, 0, want)
+		}
 	}
 	for {
 		if len(buf) == cap(buf) {
@@ -111,16 +118,22 @@ func readBody(w http.ResponseWriter, req *http.Request, limit int64, buf []byte)
 	}
 }
 
-// writeBodyError answers a readBody failure: 413 naming the limit for a
-// body over it, 400 for any other read error.
-func writeBodyError(w http.ResponseWriter, err error) {
+// BodyError is the status and error message that answer a ReadBody
+// failure: 413 naming the limit for a body over it, 400 for any other
+// read error, such as a body that ends before its Content-Length.
+func BodyError(err error) (int, string) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit))
-		return
+		return http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit)
 	}
-	writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed request: %v", err))
+	return http.StatusBadRequest, fmt.Sprintf("malformed request: %v", err)
+}
+
+// writeBodyError answers a ReadBody failure as BodyError says.
+func writeBodyError(w http.ResponseWriter, err error) {
+	status, msg := BodyError(err)
+	writeError(w, status, msg)
 }
 
 // unknownModelError is the resolve-callback error for a model name not in

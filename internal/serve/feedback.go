@@ -471,7 +471,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 	}
 	bufs := feedbackBufPool.Get().(*feedbackBufs)
 	defer putFeedbackBufs(bufs)
-	body, err := readBody(w, req, s.cfg.MaxBodyBytes, bufs.body)
+	body, err := ReadBody(w, req, s.cfg.MaxBodyBytes, bufs.body)
 	bufs.body = body
 	if err != nil {
 		writeBodyError(w, err)

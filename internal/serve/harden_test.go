@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -334,6 +336,43 @@ func TestScoreBodyLimit413(t *testing.T) {
 	ok.Body.Close()
 	if ok.StatusCode != http.StatusOK {
 		t.Fatalf("small request status = %d, want 200", ok.StatusCode)
+	}
+}
+
+// TestBodyPresizeCapped pins that a declared Content-Length is not
+// allocated up front: a 14-byte /score or /feedback body declaring
+// 67108000 bytes (under the default 64 MiB limit) is answered 400 after
+// allocating a few MiB at most, not the 64 MiB it declared.
+func TestBodyPresizeCapped(t *testing.T) {
+	dir := t.TempDir()
+	trainFixture(t, dir, "cp-8-tree", labelV1)
+	srv := newFeedbackServer(t, dir, Config{FeedbackWindow: 16})
+	host := strings.TrimPrefix(srv.URL, "http://")
+
+	for _, path := range []string{"/score", "/feedback"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		conn, err := net.Dial("tcp", host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Length: 67108000\r\n\r\n{\"model\":\"cp-8", path, host)
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		conn.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "malformed request: unexpected EOF") {
+			t.Fatalf("%s: got %d %s, want 400 malformed request: unexpected EOF", path, resp.StatusCode, body)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 4<<20 {
+			t.Errorf("%s: a 14-byte body declaring 67108000 bytes allocated %d bytes", path, d)
+		}
 	}
 }
 

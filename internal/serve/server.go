@@ -536,7 +536,7 @@ func (s *Server) handleScore(w http.ResponseWriter, req *http.Request) {
 	// differential suite in fastpath_test.go).
 	bufs := scoreBufPool.Get().(*scoreBufs)
 	defer putScoreBufs(bufs)
-	body, err := readBody(w, req, s.cfg.MaxBodyBytes, bufs.body)
+	body, err := ReadBody(w, req, s.cfg.MaxBodyBytes, bufs.body)
 	bufs.body = body
 	if err != nil {
 		writeBodyError(w, err)
