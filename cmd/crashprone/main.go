@@ -427,6 +427,7 @@ func cmdScore(args []string) error {
 	}
 	fmt.Fprintf(w, "%s,risk,crash_prone\n", idHeader)
 	row := 0
+	var line []byte
 	total, err := bs.ScoreAll(br, func(b *data.Batch, scores []float64) error {
 		for i, risk := range scores {
 			// Under a segment_id header a missing id prints as NaN —
@@ -436,7 +437,11 @@ func cmdScore(args []string) error {
 			if idCol >= 0 {
 				id = b.At(i, idCol)
 			}
-			if _, err := fmt.Fprintf(w, "%.0f,%g,%d\n", id, risk, boolBit(risk >= 0.5)); err != nil {
+			// The risk is spelled as /score and /score/stream spell it.
+			line = fmt.Appendf(line[:0], "%.0f,", id)
+			line = data.AppendJSONFloat(line, risk)
+			line = fmt.Appendf(line, ",%d\n", boolBit(risk >= 0.5))
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 			row++

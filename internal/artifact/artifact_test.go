@@ -3,6 +3,8 @@ package artifact
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -234,6 +236,64 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(b1.Bytes(), b3.Bytes()) {
 		t.Fatal("re-encoding a decoded artifact produced different bytes")
+	}
+}
+
+// TestWriteReadFile pins the file helpers: WriteFile stores exactly the
+// artifact's Encode bytes and ReadFile decodes them back to the same
+// artifact, while a missing file, an uncreatable path, an invalid artifact
+// and a corrupt file are errors, the last one naming the file.
+func TestWriteReadFile(t *testing.T) {
+	ds := synthDataset(t, 200, 5)
+	dt, err := tree.Grow(ds, ds.MustAttrIndex("label"), treeCfg(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New("file", KindDecisionTree, dt, ds.Attrs(), 4, 5, "label", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := a.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "file.json")
+	if err := WriteFile(path, a); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, want.Bytes()) {
+		t.Fatalf("WriteFile stored %d bytes (%v), Encode gives %d", len(raw), err, want.Len())
+	}
+	back, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := back.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("ReadFile did not return the artifact WriteFile stored")
+	}
+
+	if _, err := ReadFile(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("ReadFile of a missing file succeeded")
+	}
+	if err := WriteFile(filepath.Join(dir, "no-such-dir", "file.json"), a); err == nil {
+		t.Error("WriteFile into a missing directory succeeded")
+	}
+	invalid := *a
+	invalid.Name = ""
+	if err := WriteFile(filepath.Join(dir, "invalid.json"), &invalid); err == nil {
+		t.Error("WriteFile of an artifact without a name succeeded")
+	}
+	corrupt := filepath.Join(dir, "corrupt.json")
+	if err := os.WriteFile(corrupt, want.Bytes()[:want.Len()/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(corrupt); err == nil || !strings.Contains(err.Error(), corrupt) {
+		t.Errorf("ReadFile of a truncated artifact: %v, want an error naming %s", err, corrupt)
 	}
 }
 

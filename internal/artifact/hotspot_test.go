@@ -49,9 +49,9 @@ func TestHotspotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, ok := compiled.Columnar(compiled.Compile(dec))
-	if !ok {
-		t.Fatal("compiled hotspot model is not columnar")
+	cs, err := compiled.Compile(dec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	r := rng.New(7)
 	xs, ys := make([]float64, 256), make([]float64, 256)

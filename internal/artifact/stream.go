@@ -8,16 +8,6 @@ import (
 	"roadcrash/internal/data"
 )
 
-// Compile lowers a decoded learner into its compiled evaluation form —
-// flat trees, precomputed Bayes tables, fused ensembles — via the compile
-// step in internal/compiled. Compiled predictions are bit-identical to the
-// interpreted learner's; unrecognized scorers pass through unchanged, so
-// compiling is always safe. The serving registry and the batch scorer
-// call this automatically at artifact load.
-func Compile(s Scorer) Scorer {
-	return compiled.Compile(s)
-}
-
 // BatchScorer is the out-of-core scoring path: it maps columnar batches
 // into the model's training schema and scores them without ever
 // materializing a Dataset. The mapping semantics are exactly RowMapper's —
@@ -26,20 +16,17 @@ func Compile(s Scorer) Scorer {
 // — so chunked scores are bit-identical to MapDataset + Score over the
 // same rows.
 //
-// The scorer is compiled at construction. When the compiled form supports
-// columnar evaluation (every artifact learner kind does), each batch is
-// mapped column-wise into reused schema-ordered buffers and scored in one
+// It scores with the learner's compiled form: each batch is mapped
+// column-wise into reused schema-ordered buffers and scored in one
 // ScoreColumns call — no per-row map, no per-row buffer fill, zero
-// allocations in steady state. Scorers without a columnar form fall back
-// to the row-at-a-time path over a reused row buffer.
+// allocations in steady state.
 //
 // A BatchScorer carries per-stream binding state and must not be shared
 // across goroutines or fed interleaved streams; build one per stream
 // (construction is cheap next to decoding the artifact).
 type BatchScorer struct {
 	mapper *RowMapper
-	scorer Scorer
-	cs     compiled.ColumnScorer // nil when the scorer has no columnar form
+	cs     compiled.ColumnScorer
 
 	// bindings maps each model schema column to its source in the stream
 	// schema; built on the first batch, refreshed when nominal level sets
@@ -48,8 +35,7 @@ type BatchScorer struct {
 	bound    bool
 	srcAttrs []data.Attribute
 
-	row    []float64
-	mapped [][]float64 // reused schema-ordered columns for the columnar path
+	mapped [][]float64 // reused schema-ordered columns
 	out    []float64
 	rows   int // rows scored so far, for error positions
 }
@@ -69,29 +55,26 @@ func NewBatchScorer(a *Artifact) (*BatchScorer, error) {
 	if err != nil {
 		return nil, err
 	}
+	cs, err := compiled.Compile(scorer)
+	if err != nil {
+		return nil, fmt.Errorf("artifact %q: %w", a.Name, err)
+	}
 	mapper, err := NewRowMapper(a)
 	if err != nil {
 		return nil, err
 	}
-	return NewBatchScorerFor(scorer, mapper), nil
+	return NewBatchScorerFor(cs, mapper), nil
 }
 
-// NewBatchScorerFor wraps an already-decoded model and its row mapper —
+// NewBatchScorerFor wraps an already-compiled model and its row mapper —
 // the constructor for callers that hold both, like the scoring service's
-// model registry. The scorer is compiled here (a no-op if the caller
-// already compiled it).
-func NewBatchScorerFor(scorer Scorer, mapper *RowMapper) *BatchScorer {
-	scorer = Compile(scorer)
-	bs := &BatchScorer{
+// model registry.
+func NewBatchScorerFor(cs compiled.ColumnScorer, mapper *RowMapper) *BatchScorer {
+	return &BatchScorer{
 		mapper: mapper,
-		scorer: scorer,
-		row:    make([]float64, mapper.Width()),
+		cs:     cs,
+		mapped: make([][]float64, mapper.Width()),
 	}
-	if cs, ok := compiled.Columnar(scorer); ok {
-		bs.cs = cs
-		bs.mapped = make([][]float64, mapper.Width())
-	}
-	return bs
 }
 
 // Mapper returns the row mapper aligning stream columns to the model
@@ -172,46 +155,18 @@ func (bs *BatchScorer) ScoreBatch(b *data.Batch) ([]float64, error) {
 		bs.out = make([]float64, n)
 	}
 	bs.out = bs.out[:n]
-	if bs.cs != nil {
-		if err := bs.mapColumns(b, n); err != nil {
-			return nil, err
-		}
-		bs.cs.ScoreColumns(bs.mapped, bs.out)
-		bs.rows += n
-		return bs.out, nil
+	if err := bs.mapColumns(b, n); err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		for j := range bs.bindings {
-			bd := &bs.bindings[j]
-			switch {
-			case bd.src < 0:
-				bs.row[j] = data.Missing
-			case bd.direct:
-				v := b.At(i, bd.src)
-				if bd.binary && !data.IsMissing(v) && v != 0 && v != 1 {
-					return nil, fmt.Errorf("artifact: row %d: binary attribute %q got %v", bs.rows+i, bs.mapper.attrs[j].Name, v)
-				}
-				bs.row[j] = v
-			default:
-				v := b.At(i, bd.src)
-				if data.IsMissing(v) || int(v) < 0 || int(v) >= len(bd.remap) {
-					bs.row[j] = data.Missing
-				} else {
-					bs.row[j] = bd.remap[int(v)]
-				}
-			}
-		}
-		bs.out[i] = bs.scorer.PredictProb(bs.row)
-	}
+	bs.cs.ScoreColumns(bs.mapped, bs.out)
 	bs.rows += n
 	return bs.out, nil
 }
 
 // mapColumns lays the batch out as schema-ordered columns in the reused
-// mapped buffers — the columnar twin of the per-row mapping loop. Binary
-// validation reports the same row as the row-at-a-time path would: the
-// lowest bad row, breaking ties on the lowest schema column (a column with
-// an earlier bad row would have made that row the lowest).
+// mapped buffers. Binary validation reports the row RowMapper.MapDataset
+// reports: the lowest bad row, breaking ties on the lowest schema column
+// (a column with an earlier bad row would have made that row the lowest).
 func (bs *BatchScorer) mapColumns(b *data.Batch, n int) error {
 	errRow, errCol := -1, -1
 	for j := range bs.bindings {

@@ -79,48 +79,6 @@ func TestBatchScorerBitIdenticalToMapDataset(t *testing.T) {
 	}
 }
 
-// rowOnlyScorer hides any columnar engine, forcing the batch scorer onto
-// its interpreted row-at-a-time fallback.
-type rowOnlyScorer struct{ s Scorer }
-
-func (r rowOnlyScorer) PredictProb(row []float64) float64 { return r.s.PredictProb(row) }
-
-// TestBatchScorerRowFallbackMatchesColumnar pins the two internal
-// evaluation paths against each other: a scorer without a columnar form
-// takes the reused-row-buffer loop, and its scores must equal the
-// compiled columnar path's bit for bit at every chunk size.
-func TestBatchScorerRowFallbackMatchesColumnar(t *testing.T) {
-	ds := synthDataset(t, 300, 13)
-	a := synthArtifact(t, ds)
-	scorer, err := a.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 7, 64, 1000} {
-		collect := func(bs *BatchScorer) []float64 {
-			var got []float64
-			if _, err := bs.ScoreAll(ds.Stream(chunk), func(b *data.Batch, scores []float64) error {
-				got = append(got, scores...)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return got
-		}
-		mapperRow, err := NewRowMapper(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapperCol, err := NewRowMapper(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rowPath := collect(NewBatchScorerFor(rowOnlyScorer{scorer}, mapperRow))
-		colPath := collect(NewBatchScorerFor(scorer, mapperCol))
-		sameScores(t, colPath, rowPath)
-	}
-}
-
 // TestBatchScorerOverCSVStream drives the full out-of-core path — CSV
 // batch reader into batch scorer — and compares against reading the same
 // CSV in memory. Chunked nominal-level discovery must not change scores.

@@ -68,9 +68,9 @@ func BenchmarkCompiledScore(b *testing.B) {
 			b.Fatal(err)
 		}
 		cols, rows := benchBlock(b, a, n)
-		cs, ok := compiled.Columnar(compiled.Compile(interp))
-		if !ok {
-			b.Fatalf("%s: no columnar engine", kind)
+		cs, err := compiled.Compile(interp)
+		if err != nil {
+			b.Fatalf("%s: %v", kind, err)
 		}
 		out := make([]float64, n)
 		b.Run(fmt.Sprintf("%s/interpreted", kind), func(b *testing.B) {

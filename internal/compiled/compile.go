@@ -1,56 +1,45 @@
 package compiled
 
 import (
-	"roadcrash/internal/geo"
+	"fmt"
+
 	"roadcrash/internal/mining/bayes"
 	"roadcrash/internal/mining/ensemble"
-	"roadcrash/internal/mining/logit"
 	"roadcrash/internal/mining/m5"
-	"roadcrash/internal/mining/neural"
 	"roadcrash/internal/mining/tree"
-	"roadcrash/internal/mining/zinb"
 )
 
 // Compile lowers a decoded learner into its compiled evaluation form.
 // Every artifact learner kind maps to a ColumnScorer: trees flatten,
 // naive Bayes precomputes its log-probability tables, ensembles compile
 // their members, and M5 model trees lower to a flat array tree whose
-// leaves run columnar dot products. The already-columnar linear-algebra
-// learners pass through: logistic models, ZINB threshold classifiers (two
-// fused linear predictors scoring P(count > t)) and neural networks
-// (fused layer loops) all carry buffer-reusing ScoreColumns of their own.
-// An unrecognized scorer is returned unchanged, so callers can compile
-// unconditionally — interpretation is the graceful fallback, never an
-// error.
-func Compile(s Scorer) Scorer {
+// leaves run columnar dot products. A learner that is already columnar is
+// its own compiled form and is returned as it is: logistic models, ZINB
+// threshold classifiers (two fused linear predictors scoring
+// P(count > t)), neural networks (fused layer loops), the hotspot risk
+// surface (a flat per-cell array) and every compiled form, so compiling
+// twice is a no-op. Compile is total: a scorer with no compiled form is an
+// error, which the artifact loader reports at load.
+func Compile(s Scorer) (ColumnScorer, error) {
 	switch m := s.(type) {
 	case *tree.Tree:
-		return m.Compile()
+		return m.Compile(), nil
 	case *bayes.Model:
-		return m.Compile()
+		return m.Compile(), nil
 	case *ensemble.Bagging:
-		return m.Compile()
+		return m.Compile(), nil
 	case *ensemble.AdaBoost:
-		return m.Compile()
-	case *logit.Model:
-		return m
-	case zinb.ThresholdClassifier:
-		return m
+		return m.Compile(), nil
 	case *m5.Model:
-		return m.Compile()
-	case *neural.Model:
-		return m
-	case *geo.Model:
-		// The hotspot risk surface is already a flat per-cell array; its
-		// lookups are their own compiled form.
-		return m
+		return m.Compile(), nil
+	case ColumnScorer:
+		return m, nil
 	}
-	return s
+	return nil, fmt.Errorf("compiled: no compiled form for %T", s)
 }
 
 // Columnar reports whether the scorer supports columnar batch evaluation,
-// returning the ColumnScorer view when it does. Compiled forms always do;
-// an interpreted fallback does not.
+// returning the ColumnScorer view when it does. Every Compile result does.
 func Columnar(s Scorer) (ColumnScorer, bool) {
 	cs, ok := s.(ColumnScorer)
 	return cs, ok

@@ -189,9 +189,9 @@ func TestCompiledBitIdenticalOnProbes(t *testing.T) {
 	rows := probeRows()
 	cols := transpose(rows)
 	for kind, interp := range learners(t, ds) {
-		cs, ok := compiled.Columnar(compiled.Compile(interp))
-		if !ok {
-			t.Fatalf("%s: compiled form has no columnar engine", kind)
+		cs, err := compiled.Compile(interp)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
 		}
 		out := make([]float64, len(rows))
 		cs.ScoreColumns(cols, out)
@@ -209,22 +209,22 @@ func TestCompiledBitIdenticalOnProbes(t *testing.T) {
 
 // TestCompileDispatch pins the lowering table: every artifact learner kind
 // compiles to a columnar scorer, compiling twice is a no-op, and a scorer
-// the compiler does not recognize passes through unchanged (interpretation
-// is the fallback, not an error).
+// the compiler has no compiled form for is an error (Compile is total: it
+// never hands back a scorer without a columnar engine).
 func TestCompileDispatch(t *testing.T) {
 	ds := trainDataset(600, 11)
 	for kind, interp := range learners(t, ds) {
-		c := compiled.Compile(interp)
-		if _, ok := compiled.Columnar(c); !ok {
-			t.Errorf("%s: Compile result is not a ColumnScorer", kind)
+		c, err := compiled.Compile(interp)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
 		}
-		if again := compiled.Compile(c); again != c {
-			t.Errorf("%s: compiling a compiled scorer must be a no-op", kind)
+		if again, err := compiled.Compile(c); err != nil || again != c {
+			t.Errorf("%s: compiling a compiled scorer must be a no-op (got %T, %v)", kind, again, err)
 		}
 	}
 	plain := constScorer(0.25)
-	if got := compiled.Compile(plain); got != plain {
-		t.Errorf("unknown scorer was not passed through: %T", got)
+	if got, err := compiled.Compile(plain); err == nil || got != nil {
+		t.Errorf("unknown scorer compiled to %T without an error", got)
 	}
 	if _, ok := compiled.Columnar(plain); ok {
 		t.Error("plain scorer claims a columnar engine")
@@ -236,17 +236,11 @@ type constScorer float64
 
 func (c constScorer) PredictProb([]float64) float64 { return float64(c) }
 
-// interpretedOnly hides any columnar engine, forcing artifact.BatchScorer
-// onto the interpreted row-at-a-time path.
-type interpretedOnly struct{ s artifact.Scorer }
-
-func (w interpretedOnly) PredictProb(row []float64) float64 { return w.s.PredictProb(row) }
-
-// scenarioScores streams n rows of scenario traffic through a batch
-// scorer at the given chunk size and returns every score. Both calls in
-// the differential build their own stream with identical options, so the
-// two engines see identical rows.
-func scenarioScores(t *testing.T, bs *artifact.BatchScorer, n, chunk int) []float64 {
+// scenarioStream is n rows of scenario traffic in chunks of the given
+// size. Every call with the same n yields identical rows at any chunk
+// size, so the in-memory reference and the batch scorer see the same
+// traffic.
+func scenarioStream(t *testing.T, n, chunk int) data.BatchReader {
 	t.Helper()
 	opt := roadnet.DefaultScenarioOptions(n)
 	opt.ChunkSize = chunk
@@ -255,8 +249,31 @@ func scenarioScores(t *testing.T, bs *artifact.BatchScorer, n, chunk int) []floa
 	if err != nil {
 		t.Fatal(err)
 	}
+	return stream
+}
+
+// interpretedScores is the differential's reference: the interpreted
+// learner's PredictProb over RowMapper.MapDataset's in-memory layout of
+// the rows, the path that shares no code with the compiled engines.
+func interpretedScores(t *testing.T, a *artifact.Artifact, interp artifact.Scorer, ds *data.Dataset) []float64 {
+	t.Helper()
+	mapper, err := artifact.NewRowMapper(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := mapper.MapDataset(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return artifact.Score(interp, rows)
+}
+
+// scenarioScores streams n rows of scenario traffic through a batch
+// scorer at the given chunk size and returns every score.
+func scenarioScores(t *testing.T, bs *artifact.BatchScorer, n, chunk int) []float64 {
+	t.Helper()
 	var out []float64
-	total, err := bs.ScoreAll(stream, func(b *data.Batch, scores []float64) error {
+	total, err := bs.ScoreAll(scenarioStream(t, n, chunk), func(b *data.Batch, scores []float64) error {
 		out = append(out, scores...)
 		return nil
 	})
@@ -269,17 +286,22 @@ func scenarioScores(t *testing.T, bs *artifact.BatchScorer, n, chunk int) []floa
 	return out
 }
 
-// TestCompiledStreamDifferential is the end-to-end equivalence sweep the
-// tentpole demands: for every learner kind, live ScenarioStream traffic —
-// wet/dry regimes, injected missing values, the unseen "concrete" surface
-// level — scored through the interpreted row-at-a-time path and through
-// the compiled columnar path must agree bit for bit at every chunk size
-// from 1 to 2^20 (the last exceeding the row count, so one batch carries
-// the whole stream).
+// TestCompiledStreamDifferential is the end-to-end equivalence sweep: for
+// every learner kind, live ScenarioStream traffic — wet/dry regimes,
+// injected missing values, the unseen "concrete" surface level — scored
+// through the compiled columnar batch scorer must agree bit for bit with
+// the interpreted learner over the same rows read into memory
+// (data.ReadAll, RowMapper.MapDataset, artifact.Score), at every chunk
+// size from 1 to 2^20 (the last exceeding the row count, so one batch
+// carries the whole stream).
 func TestCompiledStreamDifferential(t *testing.T) {
 	ds := trainDataset(600, 11)
 	schema := ds.Attrs()
 	const rows = 3000
+	traffic, err := data.ReadAll("scenario", scenarioStream(t, rows, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for kind, interp := range learners(t, ds) {
 		// The zinb payload carries its own count boundary (t = 2 from
 		// learners); keep the header threshold in agreement.
@@ -291,33 +313,19 @@ func TestCompiledStreamDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		chunks := []int{1, 7, 64, 1024, 1 << 20}
-		var want []float64
-		for _, chunk := range chunks {
-			mapperI, err := artifact.NewRowMapper(a)
+		want := interpretedScores(t, a, interp, traffic)
+		if len(want) != rows {
+			t.Fatalf("%s: reference scored %d rows, want %d", kind, len(want), rows)
+		}
+		for _, chunk := range []int{1, 7, 64, 1024, 1 << 20} {
+			bs, err := artifact.NewBatchScorer(a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mapperC, err := artifact.NewRowMapper(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			interpBS := artifact.NewBatchScorerFor(interpretedOnly{interp}, mapperI)
-			compiledBS := artifact.NewBatchScorerFor(interp, mapperC)
-			got := scenarioScores(t, interpBS, rows, chunk)
-			comp := scenarioScores(t, compiledBS, rows, chunk)
+			got := scenarioScores(t, bs, rows, chunk)
 			for i := range got {
-				if !bitEqual(got[i], comp[i]) {
-					t.Fatalf("%s chunk=%d row %d: interpreted %v, compiled %v", kind, chunk, i, got[i], comp[i])
-				}
-			}
-			if want == nil {
-				want = append(want, got...)
-			} else {
-				for i := range got {
-					if !bitEqual(got[i], want[i]) {
-						t.Fatalf("%s chunk=%d row %d: score %v differs from chunk=1's %v", kind, chunk, i, got[i], want[i])
-					}
+				if !bitEqual(got[i], want[i]) {
+					t.Fatalf("%s chunk=%d row %d: compiled %v, interpreted %v", kind, chunk, i, got[i], want[i])
 				}
 			}
 		}
@@ -326,9 +334,9 @@ func TestCompiledStreamDifferential(t *testing.T) {
 
 // TestCompiledBatchScorerErrorsMatch pins the mapping-error contract of
 // the columnar path: a binary attribute carrying a non-0/1 value must be
-// reported with the same row position the row-at-a-time path reports,
-// including across chunks (absolute row numbers) and when a lower-indexed
-// row in a later column is the first offender.
+// reported with the row position RowMapper.MapDataset reports over the
+// whole feed, including across chunks (absolute row numbers) and when a
+// lower-indexed row in a later column is the first offender.
 func TestCompiledBatchScorerErrorsMatch(t *testing.T) {
 	ds := trainDataset(600, 11)
 	interp := learners(t, ds)[artifact.KindDecisionTree]
@@ -349,18 +357,25 @@ func TestCompiledBatchScorerErrorsMatch(t *testing.T) {
 	feed.Row(400, 0, 5) // bad label at row 3 — later, must not win
 	fd := feed.Build()
 
+	mapper, err := artifact.NewRowMapper(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, errRef := mapper.MapDataset(fd)
+	if errRef == nil {
+		t.Fatal("MapDataset accepted a bad binary value")
+	}
 	for _, chunk := range []int{1, 2, 100} {
-		mapperI, _ := artifact.NewRowMapper(a)
-		mapperC, _ := artifact.NewRowMapper(a)
-		interpBS := artifact.NewBatchScorerFor(interpretedOnly{interp}, mapperI)
-		compiledBS := artifact.NewBatchScorerFor(interp, mapperC)
-		_, errI := interpBS.ScoreAll(fd.Stream(chunk), nil)
-		_, errC := compiledBS.ScoreAll(fd.Stream(chunk), nil)
-		if errI == nil || errC == nil {
-			t.Fatalf("chunk=%d: bad binary value not rejected (interp %v, compiled %v)", chunk, errI, errC)
+		bs, err := artifact.NewBatchScorer(a)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if errI.Error() != errC.Error() {
-			t.Fatalf("chunk=%d: interpreted error %q, compiled error %q", chunk, errI, errC)
+		_, errC := bs.ScoreAll(fd.Stream(chunk), nil)
+		if errC == nil {
+			t.Fatalf("chunk=%d: bad binary value not rejected", chunk)
+		}
+		if errC.Error() != errRef.Error() {
+			t.Fatalf("chunk=%d: MapDataset error %q, batch scorer error %q", chunk, errRef, errC)
 		}
 	}
 }
@@ -379,13 +394,12 @@ func TestCompileHotspotPassThrough(t *testing.T) {
 		Method: geo.MethodPersistence,
 		Risk:   []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
 	}
-	c := compiled.Compile(m)
-	if c != artifact.Scorer(m) {
-		t.Fatalf("hotspot model was not passed through: %T", c)
+	cs, err := compiled.Compile(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cs, ok := compiled.Columnar(c)
-	if !ok {
-		t.Fatal("hotspot model is not a ColumnScorer")
+	if cs != compiled.ColumnScorer(m) {
+		t.Fatalf("hotspot model was not passed through: %T", cs)
 	}
 	xs := []float64{1, 5, 9, 50, math.NaN()}
 	ys := []float64{1, 5, 9, 1, 1}

@@ -3,6 +3,7 @@ package data
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -612,31 +613,60 @@ func lowerEq(raw []byte, word string) bool {
 
 const hexDigits = "0123456789abcdef"
 
-// AppendJSONString appends the JSON string encoding of s (quotes
-// included). It exists because strconv.AppendQuote emits Go escapes —
-// \x7f for DEL, \U000e0000 for unprintable astral runes — that no JSON
-// parser accepts, so any writer quoting attribute names or nominal levels
-// with it produces lines its own reader rejects. Here quotes and
-// backslashes are escaped, control characters take their \u00XX (or
-// shorthand) form, every other valid rune is emitted raw, and invalid
-// UTF-8 collapses to U+FFFD exactly as encoding/json does.
+// AppendJSONFloat appends f exactly as encoding/json's float64 encoder
+// does: ES6 number-to-string conversion — %f inside [1e-6, 1e21), %e
+// outside, with single-digit exponents unpadded (1e-7, not 1e-07). It is
+// the one number spelling of every JSON writer in the system: /score and
+// /score/stream risks, NDJSON rows and the offline score CSV. The caller
+// guarantees f is finite (JSON has no NaN or infinity literal).
+func AppendJSONFloat(buf []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	buf = strconv.AppendFloat(buf, f, format, -1, 64)
+	if format == 'e' {
+		// clean up e-09 to e-9
+		n := len(buf)
+		if n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+			buf[n-2] = buf[n-1]
+			buf = buf[:n-1]
+		}
+	}
+	return buf
+}
+
+// AppendJSONString appends the JSON encoding of s (quotes included)
+// exactly as encoding/json does with its default HTML escaping: quotes,
+// backslashes and control characters escaped (\b \f \n \r \t
+// shorthands), <, > and & as \u00XX, U+2028/U+2029 escaped, and invalid
+// UTF-8 emitted as the six-byte \ufffd escape. strconv.AppendQuote is no
+// substitute: its Go escapes — \x7f for DEL, \U000e0000 for unprintable
+// astral runes — are not JSON, so a writer quoting attribute names or
+// nominal levels with it produces lines its own reader rejects.
 func AppendJSONString(buf []byte, s string) []byte {
 	buf = append(buf, '"')
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
-			switch {
-			case c == '"':
-				buf = append(buf, '\\', '"')
-			case c == '\\':
-				buf = append(buf, '\\', '\\')
-			case c >= 0x20:
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
 				buf = append(buf, c)
-			case c == '\n':
+				i++
+				continue
+			}
+			switch c {
+			case '"', '\\':
+				buf = append(buf, '\\', c)
+			case '\b':
+				buf = append(buf, '\\', 'b')
+			case '\f':
+				buf = append(buf, '\\', 'f')
+			case '\n':
 				buf = append(buf, '\\', 'n')
-			case c == '\r':
+			case '\r':
 				buf = append(buf, '\\', 'r')
-			case c == '\t':
+			case '\t':
 				buf = append(buf, '\\', 't')
 			default:
 				buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
@@ -646,8 +676,13 @@ func AppendJSONString(buf []byte, s string) []byte {
 		}
 		r, size := utf8.DecodeRuneInString(s[i:])
 		if r == utf8.RuneError && size == 1 {
-			buf = utf8.AppendRune(buf, utf8.RuneError)
+			buf = append(buf, `\ufffd`...)
 			i++
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			buf = append(buf, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+			i += size
 			continue
 		}
 		buf = append(buf, s[i:i+size]...)

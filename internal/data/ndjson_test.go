@@ -1,12 +1,15 @@
 package data
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"roadcrash/internal/rng"
 )
 
 // readOne parses a single NDJSON line against the given schema and
@@ -231,9 +234,9 @@ func TestRowWhitespace(t *testing.T) {
 
 // TestAppendJSONString pins the JSON-safe quoting the batch writers use:
 // control characters take \u00XX or shorthand escapes, quotes and
-// backslashes escape, valid UTF-8 passes raw, invalid UTF-8 collapses to
-// U+FFFD — and every output must parse back to the input through the
-// scanner (the round-trip the old strconv quoting broke for DEL).
+// backslashes escape, valid UTF-8 passes raw, invalid UTF-8 becomes the
+// \ufffd escape — and every output must parse back to the input through
+// the scanner (the round-trip the old strconv quoting broke for DEL).
 func TestAppendJSONString(t *testing.T) {
 	cases := map[string]string{
 		"plain":        `"plain"`,
@@ -243,7 +246,7 @@ func TestAppendJSONString(t *testing.T) {
 		"\x00\x01\x1f": `"\u0000\u0001\u001f"`,
 		"\x7f":         "\"\x7f\"",
 		"café€":        `"café€"`,
-		"bad\xffbyte":  "\"bad\uFFFDbyte\"",
+		"bad\xffbyte":  `"bad\ufffdbyte"`,
 	}
 	schema := []Attribute{{Name: "s", Kind: Nominal}}
 	for in, want := range cases {
@@ -261,6 +264,55 @@ func TestAppendJSONString(t *testing.T) {
 		wantBack := strings.ReplaceAll(in, "\xff", "\uFFFD")
 		if level := attrs[0].Levels[int(row[0])]; level != wantBack {
 			t.Errorf("%q round-tripped to %q", in, level)
+		}
+	}
+}
+
+// TestAppendJSONFloatMatchesEncodingJSON pins the float encoder to
+// encoding/json over the formatting regime boundaries and a seeded
+// spread of random values.
+func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, -0.5, 1.0 / 3.0, 2.0 / 3.0,
+		1e-6, 9.999999999e-7, 1e-7, 5e-324, math.SmallestNonzeroFloat64,
+		1e21, 9.99999e20, 1.0000001e21, math.MaxFloat64, -math.MaxFloat64,
+		0.1, 0.30000000000000004, 1234567.891011, -98765.4321e-12, 3.141592653589793,
+	}
+	r := rng.New(99)
+	for i := 0; i < 2000; i++ {
+		v := (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(45)-22))
+		vals = append(vals, v)
+	}
+	for _, v := range vals {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendJSONFloat(nil, v); string(got) != string(want) {
+			t.Fatalf("%v (%b): fast %q, encoding/json %q", v, v, got, want)
+		}
+	}
+}
+
+// TestAppendJSONStringMatchesEncodingJSON pins the string encoder — HTML
+// escaping, control shorthands, invalid UTF-8 replacement, U+2028/U+2029
+// — to encoding/json.
+func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
+	cases := []string{
+		"", "cp-8-tree", "decision_tree", "plain ascii",
+		`quote " and \ backslash`, "<script>&amp;</script>",
+		"tab\tnewline\ncr\rbell\abackspace\bformfeed\f",
+		"nul\x00 unit\x1f esc\x1b", "line sep  para sep ",
+		"smiley \U0001F600 accent é kanji 漢", "invalid \xff\xfe utf8", "trunc \xe2\x28\xa1 seq",
+		strings.Repeat("a<b&c>d\"e\\f\x01", 50),
+	}
+	for _, s := range cases {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendJSONString(nil, s); string(got) != string(want) {
+			t.Fatalf("%q: fast %q, encoding/json %q", s, got, want)
 		}
 	}
 }

@@ -499,59 +499,77 @@ func (w *CSVBatchWriter) Flush() error {
 }
 
 // NDJSONBatchWriter streams batches as newline-delimited JSON objects in
-// the row format NDJSONBatchReader parses: attribute name -> value with
-// nominal values as level names, binary values as true/false and missing
-// values omitted.
+// the row format NDJSONBatchReader parses, one AppendNDJSONRow line per
+// row over every column.
 type NDJSONBatchWriter struct {
-	w     *bufio.Writer
-	attrs []Attribute
-	buf   []byte
+	w    *bufio.Writer
+	cols []int
+	buf  []byte
 }
 
 // NewNDJSONBatchWriter prepares a writer emitting the given schema to w.
 func NewNDJSONBatchWriter(w io.Writer, attrs []Attribute) *NDJSONBatchWriter {
-	return &NDJSONBatchWriter{w: bufio.NewWriter(w), attrs: attrs}
+	cols := make([]int, len(attrs))
+	for j := range cols {
+		cols[j] = j
+	}
+	return &NDJSONBatchWriter{w: bufio.NewWriter(w), cols: cols}
 }
 
-// WriteBatch appends one NDJSON line per batch row.
+// WriteBatch appends one NDJSON line per batch row. The batch schema must
+// be the writer's schema (same backing attributes; level growth is fine).
 func (w *NDJSONBatchWriter) WriteBatch(b *Batch) error {
 	for i := 0; i < b.Len(); i++ {
-		w.buf = w.buf[:0]
-		w.buf = append(w.buf, '{')
-		first := true
-		for j, a := range w.attrs {
-			v := b.At(i, j)
-			if IsMissing(v) {
-				continue
-			}
-			if !first {
-				w.buf = append(w.buf, ',')
-			}
-			first = false
-			w.buf = AppendJSONString(w.buf, a.Name)
-			w.buf = append(w.buf, ':')
-			switch {
-			case a.Kind == Nominal:
-				w.buf = AppendJSONString(w.buf, b.Attrs()[j].Levels[int(v)])
-			case a.Kind == Binary:
-				if v == 1 {
-					w.buf = append(w.buf, "true"...)
-				} else {
-					w.buf = append(w.buf, "false"...)
-				}
-			case math.IsInf(v, 0):
-				// JSON has no Inf literal; the reader parses numeric strings.
-				w.buf = strconv.AppendQuote(w.buf, strconv.FormatFloat(v, 'g', -1, 64))
-			default:
-				w.buf = strconv.AppendFloat(w.buf, v, 'g', -1, 64)
-			}
-		}
-		w.buf = append(w.buf, '}', '\n')
+		w.buf = AppendNDJSONRow(w.buf[:0], b, i, w.cols)
 		if _, err := w.w.Write(w.buf); err != nil {
 			return fmt.Errorf("data: writing NDJSON row: %w", err)
 		}
 	}
 	return nil
+}
+
+// AppendNDJSONRow appends row i of the batch as one NDJSON line in the
+// row format NDJSONBatchReader parses: attribute name -> value, with
+// nominal values as level names, binary values as true/false and missing
+// values omitted. Names, levels and numbers are spelled as encoding/json
+// spells them; an infinity, which JSON cannot carry as a number, is
+// written as the numeric string the reader parses back. cols picks the
+// batch columns to write, in order: NDJSONBatchWriter passes every
+// column, a client projecting a wider stream onto a model's schema passes
+// the columns the two share.
+func AppendNDJSONRow(buf []byte, b *Batch, i int, cols []int) []byte {
+	attrs := b.Attrs()
+	buf = append(buf, '{')
+	first := true
+	for _, j := range cols {
+		v := b.At(i, j)
+		if IsMissing(v) {
+			continue
+		}
+		if !first {
+			buf = append(buf, ',')
+		}
+		first = false
+		a := &attrs[j]
+		buf = AppendJSONString(buf, a.Name)
+		buf = append(buf, ':')
+		switch {
+		case a.Kind == Nominal:
+			buf = AppendJSONString(buf, a.Levels[int(v)])
+		case a.Kind == Binary:
+			if v == 1 {
+				buf = append(buf, "true"...)
+			} else {
+				buf = append(buf, "false"...)
+			}
+		case math.IsInf(v, 0):
+			// JSON has no Inf literal; the reader parses numeric strings.
+			buf = strconv.AppendQuote(buf, strconv.FormatFloat(v, 'g', -1, 64))
+		default:
+			buf = AppendJSONFloat(buf, v)
+		}
+	}
+	return append(buf, '}', '\n')
 }
 
 // Flush flushes buffered lines to the underlying writer.

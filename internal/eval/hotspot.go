@@ -12,10 +12,11 @@ import (
 // programs: if the agency can only treat k sites, how many future crashes
 // happen at the chosen sites?
 
-// topKOrder returns the indices of scores sorted descending, ties broken
+// TopKOrder returns the indices of scores sorted descending, ties broken
 // by the lower index, so rankings are deterministic and independent of
-// sort internals.
-func topKOrder(scores []float64) []int {
+// sort internals. It is the one hotspot ranking: HitRateAtK scores a
+// ranking with it and geo.Model.TopCells serves one.
+func TopKOrder(scores []float64) []int {
 	idx := make([]int, len(scores))
 	for i := range idx {
 		idx[i] = i
@@ -68,7 +69,7 @@ func HitRateAtK(scores, crashes []float64, k int) (float64, error) {
 		return math.NaN(), fmt.Errorf("eval: HitRateAtK k=%d outside [1, %d]", k, len(scores))
 	}
 	hit := 0.0
-	for _, i := range topKOrder(scores)[:k] {
+	for _, i := range TopKOrder(scores)[:k] {
 		hit += crashes[i]
 	}
 	return hit / total, nil

@@ -3,9 +3,9 @@ package geo
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"roadcrash/internal/data"
+	"roadcrash/internal/eval"
 )
 
 // The hotspot scoring methods a Model can carry.
@@ -105,10 +105,10 @@ type CellRisk struct {
 }
 
 // TopCells returns the k highest-risk cells with their center coordinates,
-// ordered by descending risk with ties broken on the lower cell index —
-// the same deterministic ranking the offline hit-rate evaluation uses, so
-// a served artifact and an in-process fit agree exactly. k beyond the cell
-// count is clamped.
+// ordered by descending risk with ties broken on the lower cell index. It
+// ranks with eval.TopKOrder, the ranking the offline hit-rate evaluation
+// uses, so a served artifact and an in-process fit agree exactly. k beyond
+// the cell count is clamped.
 func (m *Model) TopCells(k int) []CellRisk {
 	if k <= 0 {
 		return nil
@@ -116,19 +116,8 @@ func (m *Model) TopCells(k int) []CellRisk {
 	if k > len(m.Risk) {
 		k = len(m.Risk)
 	}
-	idx := make([]int, len(m.Risk))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ra, rb := m.Risk[idx[a]], m.Risk[idx[b]]
-		if ra != rb {
-			return ra > rb
-		}
-		return idx[a] < idx[b]
-	})
 	out := make([]CellRisk, k)
-	for i, c := range idx[:k] {
+	for i, c := range eval.TopKOrder(m.Risk)[:k] {
 		x, y := m.Grid.Center(c)
 		out[i] = CellRisk{Cell: c, XKm: x, YKm: y, Risk: m.Risk[c]}
 	}

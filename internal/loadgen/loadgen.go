@@ -385,15 +385,15 @@ func worker(ctx context.Context, opt Options, model string, sendNames map[string
 		}
 	}
 	var batchSrc, streamSrc *roadnet.ScenarioStream
-	var include []includeColumn
+	var include []int
 	bc := &batchClient{}
 	if opt.Mode == ModeBatch || opt.Mode == ModeMixed {
 		batchSrc = mkStream(opt.BatchRows, 2*uint64(id))
-		include = includeColumns(batchSrc.Attrs(), sendNames)
+		include = sendColumns(batchSrc.Attrs(), sendNames)
 	}
 	if opt.Mode == ModeStream || opt.Mode == ModeMixed {
 		streamSrc = mkStream(opt.StreamRows, 2*uint64(id)+1)
-		include = includeColumns(streamSrc.Attrs(), sendNames)
+		include = sendColumns(streamSrc.Attrs(), sendNames)
 	}
 	var fb *feedbackSender
 	if opt.Feedback {
@@ -625,18 +625,13 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// includeColumn is one scenario column a payload carries.
-type includeColumn struct {
-	col  int
-	attr data.Attribute
-}
-
-// includeColumns resolves which scenario columns the model schema accepts.
-func includeColumns(attrs []data.Attribute, sendNames map[string]bool) []includeColumn {
-	var cols []includeColumn
+// sendColumns resolves which scenario columns the model schema accepts:
+// the columns every payload carries.
+func sendColumns(attrs []data.Attribute, sendNames map[string]bool) []int {
+	var cols []int
 	for j, at := range attrs {
 		if sendNames[at.Name] {
-			cols = append(cols, includeColumn{col: j, attr: at})
+			cols = append(cols, j)
 		}
 	}
 	return cols
@@ -668,7 +663,7 @@ type batchClient struct {
 
 // do sends one POST /score and measures it end to end. The second return
 // is the server's Retry-After hint (-1 when absent).
-func (bc *batchClient) do(ctx context.Context, baseURL, model string, b *data.Batch, include []includeColumn) (sample, time.Duration) {
+func (bc *batchClient) do(ctx context.Context, baseURL, model string, b *data.Batch, include []int) (sample, time.Duration) {
 	body := bc.body[:0]
 	body = append(body, `{"model":`...)
 	body = data.AppendJSONString(body, model)
@@ -677,8 +672,8 @@ func (bc *batchClient) do(ctx context.Context, baseURL, model string, b *data.Ba
 		if i > 0 {
 			body = append(body, ',')
 		}
-		body = appendNDJSONRow(body, b, i, include)
-		body = body[:len(body)-1] // appendNDJSONRow ends lines; segments join with commas
+		body = data.AppendNDJSONRow(body, b, i, include)
+		body = body[:len(body)-1] // AppendNDJSONRow ends lines; segments join with commas
 	}
 	body = append(body, `]}`...)
 	bc.body = body
@@ -756,11 +751,11 @@ func countScores(resp []byte) int {
 // verifies the done trailer; a missing or failed trailer counts as a
 // truncated request. The second return is the server's Retry-After hint
 // (-1 when absent).
-func streamRequest(ctx context.Context, baseURL, model string, b *data.Batch, include []includeColumn) (sample, time.Duration) {
+func streamRequest(ctx context.Context, baseURL, model string, b *data.Batch, include []int) (sample, time.Duration) {
 	var body bytes.Buffer
 	buf := make([]byte, 0, 256)
 	for i := 0; i < b.Len(); i++ {
-		buf = appendNDJSONRow(buf[:0], b, i, include)
+		buf = data.AppendNDJSONRow(buf[:0], b, i, include)
 		body.Write(buf)
 	}
 	start := time.Now()
@@ -847,42 +842,6 @@ func hotspotRequest(ctx context.Context, baseURL, model string, k int) (sample, 
 	s.rows = int64(len(out.Cells))
 	s.ok = true
 	return s, -1
-}
-
-// appendNDJSONRow renders one scenario row as an NDJSON object carrying
-// only the model's attributes (missing values omitted, nominal values as
-// level names).
-func appendNDJSONRow(buf []byte, b *data.Batch, i int, include []includeColumn) []byte {
-	buf = append(buf, '{')
-	first := true
-	for _, ic := range include {
-		v := b.At(i, ic.col)
-		if data.IsMissing(v) {
-			continue
-		}
-		if !first {
-			buf = append(buf, ',')
-		}
-		first = false
-		// data.AppendJSONString, not strconv.AppendQuote: Go quoting is
-		// not JSON quoting for unprintable characters, and scenario level
-		// names must survive the server's strict NDJSON parser.
-		buf = data.AppendJSONString(buf, ic.attr.Name)
-		buf = append(buf, ':')
-		switch {
-		case ic.attr.Kind == data.Nominal:
-			buf = data.AppendJSONString(buf, ic.attr.Levels[int(v)])
-		case ic.attr.Kind == data.Binary:
-			if v == 1 {
-				buf = append(buf, "true"...)
-			} else {
-				buf = append(buf, "false"...)
-			}
-		default:
-			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
-		}
-	}
-	return append(buf, '}', '\n')
 }
 
 // httpClient keeps one warm connection per worker: the default

@@ -340,7 +340,7 @@ func TestSendersRecordTransportAndTruncation(t *testing.T) {
 	attrs := []data.Attribute{{Name: "aadt", Kind: data.Interval}}
 	b := data.NewBatch(attrs, 1)
 	b.AppendRow([]float64{100})
-	if s, _ := streamRequest(context.Background(), cut.URL, "m", b, []includeColumn{{col: 0, attr: attrs[0]}}); s.status != "truncated" || s.ok || s.aborted {
+	if s, _ := streamRequest(context.Background(), cut.URL, "m", b, []int{0}); s.status != "truncated" || s.ok || s.aborted {
 		t.Fatalf("stream without a done trailer: %+v", s)
 	}
 }

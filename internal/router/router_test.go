@@ -1,7 +1,9 @@
 package router
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -418,6 +420,58 @@ func TestRouterMidStreamDeath(t *testing.T) {
 	}
 	if got := rt.Health()[0].Breaker; got != "open" {
 		t.Fatalf("breaker after mid-stream death = %q, want open", got)
+	}
+}
+
+// TestRouterStreamFullDuplex pins that a routed stream keeps reading the
+// client's body after score lines start flowing back. The replica answers
+// each row as it arrives, and the client, like a live feed, sends its
+// second half only once the first answers have reached it. Every row must
+// still reach the replica: without full-duplex mode the router's server
+// drains the unread body at its first write instead, which stalls here
+// and, with the whole body sent, cuts the stream off mid-feed.
+func TestRouterStreamFullDuplex(t *testing.T) {
+	rep := fakeReplica(t, func(w http.ResponseWriter, r *http.Request) {
+		http.NewResponseController(w).EnableFullDuplex()
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		rows := 0
+		for sc := bufio.NewScanner(r.Body); sc.Scan(); rows++ {
+			io.WriteString(w, `{"risk":0.5,"crash_prone":true}`+"\n")
+			w.(http.Flusher).Flush()
+		}
+		fmt.Fprintf(w, `{"done":true,"rows":%d}`+"\n", rows)
+	})
+	_, srv := newTestRouter(t, Config{Replicas: []string{rep.URL}, MaxAttempts: 1})
+
+	// 64 rows fill the router's flush batch, so the answer's header
+	// reaches the client while the rest of the body is unsent.
+	half := strings.Repeat(`{"aadt": 2000, "surface": "seal"}`+"\n", 64)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	pr, pw := io.Pipe()
+	context.AfterFunc(ctx, func() { pw.CloseWithError(ctx.Err()) })
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/score/stream?model=cp-8-tree", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = int64(2 * len(half))
+	go io.WriteString(pw, half)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("no answer while the body is half sent: %v", err)
+	}
+	defer resp.Body.Close()
+	go func() {
+		io.WriteString(pw, half)
+		pw.Close()
+	}()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	if last := string(lines[len(lines)-1]); last != `{"done":true,"rows":128}` || len(lines) != 129 {
+		t.Fatalf("%d lines ending in %s, want 128 score lines and a trailer of 128 rows", len(lines), last)
 	}
 }
 

@@ -184,7 +184,12 @@ func (rt *Router) forwardStream(w http.ResponseWriter, req *http.Request, res at
 		return
 	}
 
+	// The upstream attempt keeps reading the client's body while scores
+	// flow back, as on a replica: without full-duplex mode the HTTP/1.x
+	// server drains the unread body at the first write, and the replica's
+	// stream breaks off mid-feed.
 	rc := http.NewResponseController(w)
+	rc.EnableFullDuplex()
 	stall := &stallGuard{r: res.resp.Body, d: rt.cfg.StreamStallTimeout}
 	stall.timer = time.AfterFunc(rt.cfg.StreamStallTimeout, res.cancel)
 	defer stall.timer.Stop()

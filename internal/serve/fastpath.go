@@ -4,11 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
 	"sync"
-	"unicode/utf8"
 
 	"roadcrash/internal/artifact"
 	"roadcrash/internal/data"
@@ -150,16 +147,16 @@ func (e unknownModelError) Error() string { return fmt.Sprintf("unknown model %q
 // newline.
 func appendScoreResponse(b []byte, model string, kind artifact.Kind, scores []float64) []byte {
 	b = append(b, `{"model":`...)
-	b = appendJSONString(b, model)
+	b = data.AppendJSONString(b, model)
 	b = append(b, `,"kind":`...)
-	b = appendJSONString(b, string(kind))
+	b = data.AppendJSONString(b, string(kind))
 	b = append(b, `,"scores":[`...)
 	for i, risk := range scores {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, `{"risk":`...)
-		b = appendJSONFloat(b, risk)
+		b = data.AppendJSONFloat(b, risk)
 		if risk >= 0.5 {
 			b = append(b, `,"crash_prone":true}`...)
 		} else {
@@ -167,83 +164,4 @@ func appendScoreResponse(b []byte, model string, kind artifact.Kind, scores []fl
 		}
 	}
 	return append(b, ']', '}', '\n')
-}
-
-// appendJSONFloat appends f exactly as encoding/json's float64 encoder
-// does: ES6 number-to-string conversion — %f inside [1e-6, 1e21), %e
-// outside, with single-digit exponents unpadded. The caller guarantees f
-// is finite (encoding/json rejects NaN and infinities; the handler 500s
-// them first).
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// clean up e-09 to e-9
-		n := len(b)
-		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-const jsonHex = "0123456789abcdef"
-
-// appendJSONString appends the JSON encoding of s (quotes included)
-// exactly as encoding/json does with its default HTML escaping: quotes,
-// backslashes and control characters escaped (\b \f \n \r \t shorthands),
-// <, > and & as \u00XX, U+2028/U+2029 escaped, invalid UTF-8 emitted as
-// the literal six-byte \ufffd escape. It is intentionally distinct from
-// data.AppendJSONString, which does not HTML-escape and emits U+FFFD as
-// raw bytes — matching encoding/json is what keeps fast-path responses
-// bit-identical to the old handler's.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				b = append(b, c)
-				i++
-				continue
-			}
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', jsonHex[c>>4], jsonHex[c&0xf])
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, `\ufffd`...)
-			i++
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, '\\', 'u', '2', '0', '2', jsonHex[r&0xf])
-			i += size
-			continue
-		}
-		b = append(b, s[i:i+size]...)
-		i += size
-	}
-	return append(b, '"')
 }

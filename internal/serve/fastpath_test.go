@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"roadcrash/internal/artifact"
 	"roadcrash/internal/core"
 	"roadcrash/internal/data"
-	"roadcrash/internal/rng"
 	"roadcrash/internal/roadnet"
 )
 
@@ -343,55 +341,6 @@ func TestScoreBinaryWordsCaseInsensitive(t *testing.T) {
 	want := doScore(srv, http.MethodPost, lower)
 	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
 		t.Fatalf("mixed-case binary word: %d %s (lowercase gave %s)", got.Code, got.Body, want.Body)
-	}
-}
-
-// TestAppendJSONFloatMatchesEncodingJSON pins the response float encoder
-// to encoding/json over the formatting regime boundaries and a seeded
-// spread of random values.
-func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
-	vals := []float64{
-		0, math.Copysign(0, -1), 1, -1, 0.5, -0.5, 1.0 / 3.0, 2.0 / 3.0,
-		1e-6, 9.999999999e-7, 1e-7, 5e-324, math.SmallestNonzeroFloat64,
-		1e21, 9.99999e20, 1.0000001e21, math.MaxFloat64, -math.MaxFloat64,
-		0.1, 0.30000000000000004, 1234567.891011, -98765.4321e-12, 3.141592653589793,
-	}
-	r := rng.New(99)
-	for i := 0; i < 2000; i++ {
-		v := (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(45)-22))
-		vals = append(vals, v)
-	}
-	for _, v := range vals {
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONFloat(nil, v); string(got) != string(want) {
-			t.Fatalf("%v (%b): fast %q, encoding/json %q", v, v, got, want)
-		}
-	}
-}
-
-// TestAppendJSONStringMatchesEncodingJSON pins the response string
-// encoder — HTML escaping, control shorthands, invalid UTF-8 replacement,
-// U+2028/U+2029 — to encoding/json.
-func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
-	cases := []string{
-		"", "cp-8-tree", "decision_tree", "plain ascii",
-		`quote " and \ backslash`, "<script>&amp;</script>",
-		"tab\tnewline\ncr\rbell\abackspace\bformfeed\f",
-		"nul\x00 unit\x1f esc\x1b", "line sep  para sep ",
-		"smiley \U0001F600 accent é kanji 漢", "invalid \xff\xfe utf8", "trunc \xe2\x28\xa1 seq",
-		strings.Repeat("a<b&c>d\"e\\f\x01", 50),
-	}
-	for _, s := range cases {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONString(nil, s); string(got) != string(want) {
-			t.Fatalf("%q: fast %q, encoding/json %q", s, got, want)
-		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"roadcrash/internal/artifact"
+	"roadcrash/internal/compiled"
 	"roadcrash/internal/data"
 )
 
@@ -36,7 +37,7 @@ import (
 // learner, and every request scores against the compiled engine.
 type Model struct {
 	Artifact *artifact.Artifact
-	Scorer   artifact.Scorer
+	Scorer   compiled.ColumnScorer
 	Mapper   *artifact.RowMapper
 
 	// Version is a content hash of the artifact's deterministic encoding:
@@ -71,6 +72,10 @@ func buildModel(a *artifact.Artifact) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	cs, err := compiled.Compile(scorer)
+	if err != nil {
+		return nil, fmt.Errorf("serve: model %q: %w", a.Name, err)
+	}
 	mapper, err := artifact.NewRowMapper(a)
 	if err != nil {
 		return nil, err
@@ -85,7 +90,7 @@ func buildModel(a *artifact.Artifact) (*Model, error) {
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	return &Model{
-		Artifact: a, Scorer: artifact.Compile(scorer), Mapper: mapper,
+		Artifact: a, Scorer: cs, Mapper: mapper,
 		Version: hex.EncodeToString(sum[:6]), schemaLevels: levels,
 	}, nil
 }

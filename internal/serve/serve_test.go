@@ -482,3 +482,37 @@ func TestLoadDirErrors(t *testing.T) {
 		t.Error("duplicate model names across files should fail the load")
 	}
 }
+
+// TestRegistryLoadFile pins single-file registration: the loaded model
+// scores through its compiled form bit-identically to the in-process
+// tree, and a missing or corrupt file is an error that registers nothing.
+func TestRegistryLoadFile(t *testing.T) {
+	dir := t.TempDir()
+	_, dt := fixture(t, dir)
+	reg := NewRegistry()
+	m, err := reg.LoadFile(filepath.Join(dir, "cp-8-tree.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reg.Get("cp-8-tree"); !ok || got != m {
+		t.Fatalf("Get after LoadFile = %v, %v", got, ok)
+	}
+	for _, row := range [][]float64{{2000, 1, data.Missing}, {900, 0, data.Missing}, {data.Missing, data.Missing, data.Missing}} {
+		if got, want := m.Scorer.PredictProb(row), dt.PredictProb(row); got != want {
+			t.Errorf("row %v: loaded model scores %v, in-process tree %v", row, got, want)
+		}
+	}
+	if _, err := reg.LoadFile(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("loading a missing file succeeded")
+	}
+	junk := filepath.Join(dir, "junk.json")
+	if err := os.WriteFile(junk, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.LoadFile(junk); err == nil {
+		t.Error("loading a corrupt file succeeded")
+	}
+	if n := len(reg.Models()); n != 1 {
+		t.Errorf("registry holds %d models after two failed loads, want 1", n)
+	}
+}

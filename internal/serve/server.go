@@ -706,7 +706,7 @@ func (s *Server) streamScores(w http.ResponseWriter, name string, m *Model, req 
 		lines = lines[:0]
 		for _, risk := range scores {
 			lines = append(lines, `{"risk":`...)
-			lines = strconv.AppendFloat(lines, risk, 'g', -1, 64)
+			lines = data.AppendJSONFloat(lines, risk)
 			if risk >= 0.5 {
 				lines = append(lines, `,"crash_prone":true}`...)
 			} else {
