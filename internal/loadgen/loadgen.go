@@ -543,33 +543,15 @@ func (fs *feedbackSender) send(ctx context.Context, labels []labelPair) sample {
 	body = append(body, `]}`...)
 	fs.body = body
 
-	start := time.Now()
-	resp, err := post(ctx, fs.target+"/feedback", "application/json", body)
-	s := sample{endpoint: "feedback", status: "transport"}
-	if err != nil {
-		s.latency = time.Since(start)
-		s.aborted = ctx.Err() != nil
-		return s
-	}
-	defer resp.Body.Close()
-	s.status = strconv.Itoa(resp.StatusCode)
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		s.latency = time.Since(start)
-		return s
-	}
-	var out struct {
-		Outcomes map[string]int `json:"outcomes"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	s.latency = time.Since(start)
-	if err != nil {
-		s.status = "truncated"
-		s.aborted = ctx.Err() != nil
-		return s
-	}
-	s.rows = int64(out.Outcomes["matched"])
-	s.ok = true
+	// Label POSTs are never retried, so a Retry-After hint has no use.
+	s, _ := exchange(ctx, "feedback", http.MethodPost, fs.target+"/feedback", "application/json", body,
+		func(r io.Reader) (int64, bool) {
+			var out struct {
+				Outcomes map[string]int `json:"outcomes"`
+			}
+			err := json.NewDecoder(r).Decode(&out)
+			return int64(out.Outcomes["matched"]), err == nil
+		})
 	return s
 }
 
@@ -678,35 +660,15 @@ func (bc *batchClient) do(ctx context.Context, baseURL, model string, b *data.Ba
 	body = append(body, `]}`...)
 	bc.body = body
 
-	start := time.Now()
-	resp, err := post(ctx, baseURL+"/score", "application/json", body)
-	s := sample{endpoint: "score", status: "transport"}
-	if err != nil {
-		s.latency = time.Since(start)
-		s.aborted = ctx.Err() != nil
-		return s, -1
-	}
-	defer resp.Body.Close()
-	s.status = strconv.Itoa(resp.StatusCode)
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		s.latency = time.Since(start)
-		return s, retryAfterHint(resp)
-	}
-	bc.resp, err = readAll(resp.Body, bc.resp[:0])
-	n := -1
-	if err == nil {
-		n = countScores(bc.resp)
-	}
-	s.latency = time.Since(start)
-	if n < 0 {
-		s.status = "truncated"
-		s.aborted = ctx.Err() != nil
-		return s, -1
-	}
-	s.rows = int64(n)
-	s.ok = true
-	return s, -1
+	return exchange(ctx, "score", http.MethodPost, baseURL+"/score", "application/json", body,
+		func(r io.Reader) (int64, bool) {
+			var err error
+			if bc.resp, err = readAll(r, bc.resp[:0]); err != nil {
+				return 0, false
+			}
+			n := countScores(bc.resp)
+			return int64(n), n >= 0
+		})
 }
 
 // readAll reads r to EOF into buf, growing it as needed. Unlike
@@ -758,90 +720,38 @@ func streamRequest(ctx context.Context, baseURL, model string, b *data.Batch, in
 		buf = data.AppendNDJSONRow(buf[:0], b, i, include)
 		body.Write(buf)
 	}
-	start := time.Now()
-	resp, err := post(ctx, baseURL+"/score/stream?model="+model, "application/x-ndjson", body.Bytes())
-	s := sample{endpoint: "stream", status: "transport"}
-	if err != nil {
-		s.latency = time.Since(start)
-		s.aborted = ctx.Err() != nil
-		return s, -1
-	}
-	defer resp.Body.Close()
-	s.status = strconv.Itoa(resp.StatusCode)
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		s.latency = time.Since(start)
-		return s, retryAfterHint(resp)
-	}
-	rows := int64(0)
-	sawTrailer := false
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var line struct {
-			Done  *bool  `json:"done"`
-			Rows  int64  `json:"rows"`
-			Error string `json:"error"`
-		}
-		if err := dec.Decode(&line); err != nil {
-			break
-		}
-		if line.Done != nil {
-			sawTrailer = *line.Done && line.Error == ""
-			rows = line.Rows
-			break
-		}
-		rows++
-	}
-	s.latency = time.Since(start)
-	if !sawTrailer {
-		s.status = "truncated"
-		s.aborted = ctx.Err() != nil
-		return s, -1
-	}
-	s.rows = rows
-	s.ok = true
-	return s, -1
+	return exchange(ctx, "stream", http.MethodPost, baseURL+"/score/stream?model="+model, "application/x-ndjson", body.Bytes(),
+		func(r io.Reader) (int64, bool) {
+			dec := json.NewDecoder(r)
+			for {
+				var line struct {
+					Done  *bool  `json:"done"`
+					Rows  int64  `json:"rows"`
+					Error string `json:"error"`
+				}
+				if err := dec.Decode(&line); err != nil {
+					return 0, false
+				}
+				if line.Done != nil {
+					return line.Rows, *line.Done && line.Error == ""
+				}
+			}
+		})
 }
 
 // hotspotRequest sends one GET /hotspots and counts the ranked cells it
-// returns. The second return is the server's Retry-After hint (-1 when
-// absent).
+// returns; a body without the promised k cells is truncated. The second
+// return is the server's Retry-After hint (-1 when absent).
 func hotspotRequest(ctx context.Context, baseURL, model string, k int) (sample, time.Duration) {
 	url := baseURL + "/hotspots?model=" + model + "&k=" + strconv.Itoa(k)
-	start := time.Now()
-	s := sample{endpoint: "hotspots", status: "transport"}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		s.latency = time.Since(start)
-		return s, -1
-	}
-	resp, err := httpClient.Do(req)
-	if err != nil {
-		s.latency = time.Since(start)
-		s.aborted = ctx.Err() != nil
-		return s, -1
-	}
-	defer resp.Body.Close()
-	s.status = strconv.Itoa(resp.StatusCode)
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		s.latency = time.Since(start)
-		return s, retryAfterHint(resp)
-	}
-	var out struct {
-		K     int               `json:"k"`
-		Cells []json.RawMessage `json:"cells"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	s.latency = time.Since(start)
-	if err != nil || len(out.Cells) != out.K {
-		s.status = "truncated"
-		s.aborted = ctx.Err() != nil
-		return s, -1
-	}
-	s.rows = int64(len(out.Cells))
-	s.ok = true
-	return s, -1
+	return exchange(ctx, "hotspots", http.MethodGet, url, "", nil, func(r io.Reader) (int64, bool) {
+		var out struct {
+			K     int               `json:"k"`
+			Cells []json.RawMessage `json:"cells"`
+		}
+		err := json.NewDecoder(r).Decode(&out)
+		return int64(len(out.Cells)), err == nil && len(out.Cells) == out.K
+	})
 }
 
 // httpClient keeps one warm connection per worker: the default
@@ -853,13 +763,47 @@ var httpClient = &http.Client{Transport: &http.Transport{
 	MaxIdleConnsPerHost: 256,
 }}
 
-func post(ctx context.Context, url, contentType string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+// exchange sends one request and measures it end to end as a sample of
+// endpoint, classified as one of: a transport error (no answer, or a url
+// that does not parse), a non-200 with its status and, for a 429, the
+// Retry-After hint, a 200 whose body read reports it truncated, or a 200
+// that is ok with the rows read counted. read consumes a 200's body and
+// reports its rows and whether the answer was whole. The second return
+// is the hint, -1 when there is none. A failure while the run's context
+// is ending is marked aborted.
+func exchange(ctx context.Context, endpoint, method, url, contentType string, body []byte,
+	read func(io.Reader) (rows int64, whole bool)) (sample, time.Duration) {
+	s := sample{endpoint: endpoint, status: "transport"}
+	start := time.Now()
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	var resp *http.Response
+	if err == nil {
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		resp, err = httpClient.Do(req)
 	}
-	req.Header.Set("Content-Type", contentType)
-	return httpClient.Do(req)
+	if err != nil {
+		s.latency = time.Since(start)
+		s.aborted = ctx.Err() != nil
+		return s, -1
+	}
+	defer resp.Body.Close()
+	s.status = strconv.Itoa(resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		s.latency = time.Since(start)
+		return s, retryAfterHint(resp)
+	}
+	rows, whole := read(resp.Body)
+	s.latency = time.Since(start)
+	if !whole {
+		s.status = "truncated"
+		s.aborted = ctx.Err() != nil
+		return s, -1
+	}
+	s.rows, s.ok = rows, true
+	return s, -1
 }
 
 // summarize aggregates one endpoint's samples.

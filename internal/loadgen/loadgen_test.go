@@ -320,28 +320,93 @@ func TestFeedbackSenderLabels(t *testing.T) {
 	})
 }
 
-// TestSendersRecordTransportAndTruncation pins two failure branches that
-// a timed run reaches only when its deadline happens to land mid-request:
-// a label POST to an unreachable target is a transport error, and a stream
-// answer that ends without its done trailer is a truncated request.
-// Neither is a deadline abort.
+// TestSendersRecordTransportAndTruncation pins how each request kind
+// classifies what comes back, including the branches a timed run reaches
+// only when its deadline lands mid-request: no connection (or no
+// parseable target) is a transport error, a non-200 keeps its status and
+// hands back a 429's Retry-After hint, an answer that ends early is a
+// truncated request, and a whole answer is ok with its rows. None of
+// these is a deadline abort. Label POSTs take no hint.
 func TestSendersRecordTransportAndTruncation(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	fs := newFeedbackSender(nil, "m", dead.URL, 8, 1)
-	if s := fs.send(context.Background(), []labelPair{{id: 1, y: true}}); s.status != "transport" || s.ok || s.aborted {
-		t.Fatalf("label POST to a closed server: %+v", s)
-	}
-
-	cut := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"risk":0.5,"crash_prone":true}`+"\n")
-	}))
-	defer cut.Close()
 	attrs := []data.Attribute{{Name: "aadt", Kind: data.Interval}}
 	b := data.NewBatch(attrs, 1)
 	b.AppendRow([]float64{100})
-	if s, _ := streamRequest(context.Background(), cut.URL, "m", b, []int{0}); s.status != "truncated" || s.ok || s.aborted {
-		t.Fatalf("stream without a done trailer: %+v", s)
+	noHint := time.Duration(-1)
+	kinds := []struct {
+		endpoint  string
+		send      func(target string) (sample, time.Duration)
+		truncated string // a 200 that ends before the answer is whole
+		whole     string // a 200 carrying one row
+	}{
+		{"score",
+			func(target string) (sample, time.Duration) {
+				return (&batchClient{}).do(context.Background(), target, "m", b, []int{0})
+			},
+			`{"model":"m","kind":"decision_tree","scores":[{"risk":0.5,"crash_prone":true}`,
+			`{"model":"m","kind":"decision_tree","scores":[{"risk":0.5,"crash_prone":true}]}` + "\n"},
+		{"stream",
+			func(target string) (sample, time.Duration) {
+				return streamRequest(context.Background(), target, "m", b, []int{0})
+			},
+			`{"risk":0.5,"crash_prone":true}` + "\n",
+			`{"risk":0.5,"crash_prone":true}` + "\n" + `{"done":true,"rows":1}` + "\n"},
+		{"hotspots",
+			func(target string) (sample, time.Duration) {
+				return hotspotRequest(context.Background(), target, "m", 1)
+			},
+			`{"k":1,"cells":[`,
+			`{"k":1,"cells":[{"cell":1}]}`},
+		{"feedback",
+			func(target string) (sample, time.Duration) {
+				fs := newFeedbackSender(nil, "m", target, 8, 1)
+				return fs.send(context.Background(), []labelPair{{id: 1, y: true}}), noHint
+			},
+			`{"model":"m","outcomes":{"matched":`,
+			`{"model":"m","outcomes":{"matched":1}}`},
+	}
+	// answer serves one fixed reply to every request.
+	answer := func(status int, retryAfter, body string) string {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if retryAfter != "" {
+				w.Header().Set("Retry-After", retryAfter)
+			}
+			w.WriteHeader(status)
+			io.WriteString(w, body)
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	closed := httptest.NewServer(http.NotFoundHandler())
+	closed.Close()
+
+	for _, k := range kinds {
+		for _, tc := range []struct {
+			name   string
+			target string
+			status string
+			hint   time.Duration
+			rows   int64
+		}{
+			{"closed server", closed.URL, "transport", noHint, 0},
+			{"unparseable target", "http://[::1", "transport", noHint, 0},
+			{"503 with Retry-After", answer(http.StatusServiceUnavailable, "3", `{"error":"draining"}`), "503", noHint, 0},
+			{"429 with Retry-After", answer(http.StatusTooManyRequests, "3", `{"error":"at capacity"}`), "429", 3 * time.Second, 0},
+			{"truncated", answer(http.StatusOK, "", k.truncated), "truncated", noHint, 0},
+			{"whole", answer(http.StatusOK, "", k.whole), "200", noHint, 1},
+		} {
+			t.Run(k.endpoint+"/"+tc.name, func(t *testing.T) {
+				s, hint := k.send(tc.target)
+				wantHint := tc.hint
+				if k.endpoint == "feedback" {
+					wantHint = noHint // label POSTs are never retried, so they take no hint
+				}
+				ok := tc.status == "200"
+				if s.endpoint != k.endpoint || s.status != tc.status || s.ok != ok || s.rows != tc.rows || s.aborted || hint != wantHint {
+					t.Fatalf("sample %+v hint %v, want endpoint %s status %s ok %v rows %d hint %v",
+						s, hint, k.endpoint, tc.status, ok, tc.rows, wantHint)
+				}
+			})
+		}
 	}
 }
 

@@ -16,13 +16,12 @@ import (
 
 // attemptResult is one routed attempt against one replica: either a
 // final response to forward, or a retryable failure with the context the
-// retry loop needs (outcome class, Retry-After hint, last status).
+// retry loop needs (Retry-After hint, last status).
 type attemptResult struct {
 	rep        *replica
 	resp       *http.Response // non-nil only when final
 	cancel     context.CancelFunc
 	err        error
-	outcome    string // ok, rejected, error
 	final      bool
 	retryAfter time.Duration
 	status     int // status of a non-final response, for exhaustion reporting
@@ -30,10 +29,14 @@ type attemptResult struct {
 }
 
 // discard releases a result that will not be forwarded (a hedge loser or
-// a late arrival): drain a little so the connection can be reused, close,
-// cancel.
-func (a *attemptResult) discard() {
+// a late arrival): it settles a 200's breaker verdict, which send leaves
+// to whoever consumes the body, then drains a little so the connection
+// can be reused, closes and cancels.
+func (rt *Router) discard(a attemptResult) {
 	if a.resp != nil {
+		if a.resp.StatusCode == http.StatusOK {
+			rt.recordOutcome(a.rep, "ok")
+		}
 		io.Copy(io.Discard, io.LimitReader(a.resp.Body, 64<<10))
 		a.resp.Body.Close()
 	}
@@ -42,49 +45,96 @@ func (a *attemptResult) discard() {
 	}
 }
 
-// send performs one attempt against one replica and classifies it. A
-// final result carries an open response body plus the cancel that must
-// run after the body is consumed; a retryable one is already closed.
-func (rt *Router) send(parent context.Context, rep *replica, method, path string, header http.Header, body io.Reader) attemptResult {
-	ctx, cancel := context.WithTimeout(parent, rt.cfg.AttemptTimeout)
-	req, err := http.NewRequestWithContext(ctx, method, rep.base+path, body)
+// send performs one attempt against one replica and classifies it. The
+// caller derives ctx for this attempt alone and hands over its cancel: a
+// batch attempt runs under AttemptTimeout, while a stream, which may
+// legitimately run for hours, is policed by the stall guard and the
+// transport's response-header timeout instead. A final result carries an
+// open response body plus the cancel that must run after the body is
+// consumed; a retryable one is already closed. send records every
+// outcome but a final 200's, which waits for its body: forward and
+// discard record it ok, and forwardStream at the stream's trailer.
+func (rt *Router) send(ctx context.Context, cancel context.CancelFunc, rep *replica, req *http.Request, path string, body io.Reader) attemptResult {
+	upReq, err := http.NewRequestWithContext(ctx, req.Method, rep.base+path, body)
 	if err != nil {
 		cancel()
-		return attemptResult{rep: rep, err: err, outcome: "error"}
+		rt.recordOutcome(rep, "error")
+		return attemptResult{rep: rep, err: err}
 	}
-	if ct := header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
+	if ct := req.Header.Get("Content-Type"); ct != "" {
+		upReq.Header.Set("Content-Type", ct)
 	}
 	rep.inflight.Add(1)
-	resp, err := rt.client.Do(req)
+	resp, err := rt.client.Do(upReq)
 	rep.inflight.Add(-1)
 
 	res := attemptResult{rep: rep, resp: resp, cancel: cancel, err: err}
+	outcome := "ok"
 	switch {
-	case err != nil:
-		res.outcome = "error"
+	case err != nil || resp.StatusCode >= 500:
+		outcome = "error"
 	case resp.StatusCode == http.StatusTooManyRequests:
-		res.outcome = "rejected"
-	case resp.StatusCode >= 500:
-		res.outcome = "error"
+		outcome = "rejected"
 	default:
 		// 2xx is success; a non-429 4xx (unknown model, bad JSON) is the
 		// client's problem, not the replica's — the replica is healthy and
 		// the answer is final.
-		res.outcome = "ok"
 		res.final = true
 	}
-	rt.recordOutcome(rep, res.outcome)
+	if !res.final || resp.StatusCode != http.StatusOK {
+		rt.recordOutcome(rep, outcome)
+	}
 	if !res.final && resp != nil {
 		res.status = resp.StatusCode
 		res.retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
 		resp.Body.Close()
 		res.resp = nil
-		res.cancel()
+		cancel()
 		res.cancel = nil
 	}
 	return res
+}
+
+// retry is the retry loop of every routed scoring call. Each round picks
+// the least-loaded replica not yet in tried (falling back to one that
+// is), adds it to tried and hands it to try; a final result is returned
+// for the caller to forward. The caller owns tried, so that a hedging
+// try can pick its second replica among the rest, and try gets no
+// argument the compiler must assume escapes. Between rounds the loop
+// backs off, honoring the last Retry-After hint, and a round after the
+// first needs canRetry, when given, to hold. retry itself answers every
+// call it gives up on: 499 when the client left during a backoff, 503
+// when no replica is eligible, and the 429 or 502 of exhausted attempts;
+// the second return is then false.
+func (rt *Router) retry(w http.ResponseWriter, req *http.Request, endpoint string, tried map[*replica]bool,
+	canRetry func() bool, try func(rep *replica) attemptResult) (attemptResult, bool) {
+	var last attemptResult
+	for attempt := 0; attempt < rt.cfg.MaxAttempts; attempt++ {
+		if attempt > 0 {
+			if canRetry != nil && !canRetry() {
+				break
+			}
+			rt.retries.With(endpoint).Inc()
+			if !rt.sleep(req.Context(), rt.backoffDelay(attempt-1, last.retryAfter)) {
+				rt.countAndError(w, endpoint, statusClientClosed, "client gave up during retry backoff")
+				return attemptResult{}, false
+			}
+		}
+		rep := rt.pickPreferFresh(tried)
+		if rep == nil {
+			rt.writeNoReplicas(w, endpoint)
+			return attemptResult{}, false
+		}
+		tried[rep] = true
+		res := try(rep)
+		if res.final {
+			return res, true
+		}
+		last = res
+	}
+	rt.writeExhausted(w, endpoint, last)
+	return attemptResult{}, false
 }
 
 // buffered returns the handler of a bufferable call (POST /score, GET
@@ -101,7 +151,8 @@ func (rt *Router) buffered(method, endpoint string) http.HandlerFunc {
 	}
 }
 
-// routeBuffered is the shared retry+hedge engine for bufferable calls.
+// routeBuffered routes a bufferable call through the retry loop, each
+// round possibly hedged.
 func (rt *Router) routeBuffered(w http.ResponseWriter, req *http.Request, endpoint string) {
 	start := time.Now()
 	// The replica's body reader, so a body error gets the replica's
@@ -114,29 +165,13 @@ func (rt *Router) routeBuffered(w http.ResponseWriter, req *http.Request, endpoi
 		return
 	}
 	path := upstreamPath(endpoint, req)
-
 	tried := make(map[*replica]bool)
-	var last attemptResult
-	for attempt := 0; attempt < rt.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			rt.retries.With(endpoint).Inc()
-			if !rt.sleep(req.Context(), rt.backoffDelay(attempt-1, last.retryAfter)) {
-				rt.countAndError(w, endpoint, statusClientClosed, "client gave up during retry backoff")
-				return
-			}
-		}
-		res, routed := rt.round(req, path, body, tried)
-		if !routed {
-			rt.writeNoReplicas(w, endpoint)
-			return
-		}
-		if res.final {
-			rt.forward(w, res, endpoint, start)
-			return
-		}
-		last = res
+	res, ok := rt.retry(w, req, endpoint, tried, nil, func(rep *replica) attemptResult {
+		return rt.round(req, path, body, rep, tried)
+	})
+	if ok {
+		rt.forward(w, res, endpoint, start)
 	}
-	rt.writeExhausted(w, endpoint, last)
 }
 
 // upstreamPath is the replica path for a routed call: the endpoint plus
@@ -149,78 +184,52 @@ func upstreamPath(endpoint string, req *http.Request) string {
 	return endpoint
 }
 
-// round performs one retry-loop round: a single attempt, or — when
-// hedging is enabled — a primary attempt raced against a delayed hedge on
-// a different replica. The second return is false when no replica was
-// eligible.
-func (rt *Router) round(req *http.Request, path string, body []byte, tried map[*replica]bool) (attemptResult, bool) {
-	primary := rt.pickPreferFresh(tried)
-	if primary == nil {
-		return attemptResult{}, false
-	}
-	tried[primary] = true
-
+// round performs one retry-loop round of a bufferable call on primary: a
+// single attempt, or — when hedging is enabled — the primary attempt
+// raced against a delayed hedge on another replica.
+func (rt *Router) round(req *http.Request, path string, body []byte, primary *replica, tried map[*replica]bool) attemptResult {
 	if rt.cfg.HedgeAfter <= 0 {
-		return rt.send(req.Context(), primary, req.Method, path, req.Header, bytes.NewReader(body)), true
+		ctx, cancel := context.WithTimeout(req.Context(), rt.cfg.AttemptTimeout)
+		return rt.send(ctx, cancel, primary, req, path, bytes.NewReader(body))
 	}
 
 	ch := make(chan attemptResult, 2)
 	launch := func(rep *replica, hedge bool) context.CancelFunc {
-		actx, acancel := context.WithCancel(req.Context())
+		ctx, cancel := context.WithTimeout(req.Context(), rt.cfg.AttemptTimeout)
 		go func() {
-			res := rt.send(actx, rep, req.Method, path, req.Header, bytes.NewReader(body))
+			res := rt.send(ctx, cancel, rep, req, path, bytes.NewReader(body))
 			res.hedge = hedge
 			ch <- res
 		}()
-		return acancel
+		return cancel
 	}
 	cancels := map[bool]context.CancelFunc{false: launch(primary, false)}
 
 	timer := time.NewTimer(rt.cfg.HedgeAfter)
 	defer timer.Stop()
 	inFlight := 1
-	var results []attemptResult
-	for inFlight > 0 {
+	for {
 		select {
 		case res := <-ch:
 			inFlight--
 			if res.final {
 				// Winner. Kill the straggler (if any) and discard its
 				// result off-path so its connection is cleaned up.
-				if other := cancels[!res.hedge]; other != nil && inFlight > 0 {
-					other()
-					go func(n int) {
-						for i := 0; i < n; i++ {
-							late := <-ch
-							late.discard()
-						}
-					}(inFlight)
-				}
-				// Fold the attempt's own cancel into the result so forward
-				// releases it after the body is copied.
-				if own, prev := cancels[res.hedge], res.cancel; own != nil {
-					res.cancel = func() {
-						if prev != nil {
-							prev()
-						}
-						own()
-					}
+				if inFlight > 0 {
+					cancels[!res.hedge]()
+					go func() { rt.discard(<-ch) }()
 				}
 				if res.hedge {
 					rt.hedges.With("won").Inc()
 				}
-				return res, true
+				return res
 			}
-			results = append(results, res)
-			if inFlight > 0 {
-				continue // the other attempt may still succeed
+			if inFlight == 0 {
+				// Every launched attempt failed (send has released each):
+				// hand the last failure to the retry loop.
+				return res
 			}
-			// Both (or the only) attempt failed: release the attempt
-			// contexts and hand the last failure to the retry loop.
-			for _, c := range cancels {
-				c()
-			}
-			return results[len(results)-1], true
+			// The other attempt may still succeed.
 		case <-timer.C:
 			if second := rt.pickPreferFresh(tried); second != nil {
 				tried[second] = true
@@ -230,17 +239,19 @@ func (rt *Router) round(req *http.Request, path string, body []byte, tried map[*
 			}
 		}
 	}
-	return results[len(results)-1], true
 }
 
-// forward relays a final response to the client and records the request
-// metrics.
+// forward relays a final response to the client, records the request
+// metrics and, once a 200's body is relayed, its ok verdict.
 func (rt *Router) forward(w http.ResponseWriter, res attemptResult, endpoint string, start time.Time) {
 	defer res.cancel()
 	defer res.resp.Body.Close()
 	copyHeader(w.Header(), res.resp.Header)
 	w.WriteHeader(res.resp.StatusCode)
 	relay(w, res.resp.Body)
+	if res.resp.StatusCode == http.StatusOK {
+		rt.recordOutcome(res.rep, "ok")
+	}
 	rt.requests.With(endpoint, strconv.Itoa(res.resp.StatusCode)).Inc()
 	rt.latency.With(endpoint).Observe(time.Since(start).Seconds())
 }
@@ -297,7 +308,7 @@ func (rt *Router) writeExhausted(w http.ResponseWriter, endpoint string, last at
 	if last.status == http.StatusTooManyRequests {
 		ra := rt.retryAfterHeader
 		if last.retryAfter > 0 {
-			ra = strconv.FormatInt(int64((last.retryAfter+time.Second-1)/time.Second), 10)
+			ra = serve.FormatRetryAfter(last.retryAfter)
 		}
 		w.Header().Set("Retry-After", ra)
 		rt.countJSON(w, endpoint, http.StatusTooManyRequests, map[string]any{

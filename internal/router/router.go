@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"roadcrash/internal/metrics"
+	"roadcrash/internal/serve"
 )
 
 // Config tunes the routing tier. Zero fields select their defaults, so
@@ -237,7 +238,7 @@ func New(cfg Config) (*Router, error) {
 		seed = time.Now().UnixNano()
 	}
 	rt.jitter = rand.New(rand.NewSource(seed))
-	rt.retryAfterHeader = strconv.FormatInt(int64((cfg.BreakerCooldown+time.Second-1)/time.Second), 10)
+	rt.retryAfterHeader = serve.FormatRetryAfter(cfg.BreakerCooldown)
 	seen := make(map[string]bool)
 	for _, raw := range cfg.Replicas {
 		base := strings.TrimRight(strings.TrimSpace(raw), "/")

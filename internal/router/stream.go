@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"roadcrash/internal/serve"
@@ -78,7 +77,7 @@ func (g *stallGuard) Read(p []byte) (int, error) {
 // fits the replay buffer; once response bytes flow, a dying replica is
 // surfaced through the trailer contract instead — the router appends
 // {"done":false,"rows":N,"error":...} so the client always learns the
-// stream was truncated.
+// stream was truncated. Streams never hedge.
 func (rt *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 	const endpoint = "/score/stream"
 	start := time.Now()
@@ -87,102 +86,37 @@ func (rt *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	path := upstreamPath(endpoint, req)
-
 	rb := &replayBody{src: req.Body, cap: rt.cfg.StreamReplayBytes}
-	tried := make(map[*replica]bool)
-	var last attemptResult
-	for attempt := 0; attempt < rt.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if !rb.canReplay() {
-				break // body too large to resend; report the failure
-			}
-			rt.retries.With(endpoint).Inc()
-			if !rt.sleep(req.Context(), rt.backoffDelay(attempt-1, last.retryAfter)) {
-				rt.requests.With(endpoint, strconv.Itoa(statusClientClosed)).Inc()
-				return
-			}
-		}
-		rep := rt.pickPreferFresh(tried)
-		if rep == nil {
-			rt.writeNoReplicas(w, endpoint)
-			return
-		}
-		tried[rep] = true
-		res := rt.streamAttempt(req, rep, path, rb)
-		if res.final {
-			rt.forwardStream(w, req, res, endpoint, start)
-			return
-		}
-		last = res
+	res, ok := rt.retry(w, req, endpoint, make(map[*replica]bool), rb.canReplay, func(rep *replica) attemptResult {
+		// No AttemptTimeout: the attempt context lives until the stream
+		// ends.
+		ctx, cancel := context.WithCancel(req.Context())
+		return rt.send(ctx, cancel, rep, req, path, rb.reader())
+	})
+	if ok {
+		rt.forwardStream(w, res, endpoint, start)
 	}
-	rt.writeExhausted(w, endpoint, last)
-}
-
-// streamAttempt opens one upstream stream. Unlike send it must not use
-// AttemptTimeout — a legitimate stream can run for hours — so the
-// attempt context lives until the stream ends and staleness is policed
-// by the stall guard plus the transport's response-header timeout.
-func (rt *Router) streamAttempt(req *http.Request, rep *replica, path string, rb *replayBody) attemptResult {
-	ctx, cancel := context.WithCancel(req.Context())
-	upReq, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+path, rb.reader())
-	if err != nil {
-		cancel()
-		rt.recordOutcome(rep, "error")
-		return attemptResult{rep: rep, err: err, outcome: "error"}
-	}
-	if ct := req.Header.Get("Content-Type"); ct != "" {
-		upReq.Header.Set("Content-Type", ct)
-	}
-	rep.inflight.Add(1)
-	resp, err := rt.client.Do(upReq)
-	rep.inflight.Add(-1)
-
-	res := attemptResult{rep: rep, resp: resp, cancel: cancel, err: err}
-	switch {
-	case err != nil:
-		res.outcome = "error"
-	case resp.StatusCode == http.StatusTooManyRequests:
-		res.outcome = "rejected"
-	case resp.StatusCode >= 500:
-		res.outcome = "error"
-	default:
-		res.outcome = "ok"
-		res.final = true
-	}
-	// A non-2xx final answer (404 unknown model, 400) settles the breaker
-	// now; a 200 stream's verdict waits for the trailer in forwardStream.
-	if !res.final || resp.StatusCode != http.StatusOK {
-		rt.recordOutcome(rep, res.outcome)
-	}
-	if !res.final && resp != nil {
-		res.status = resp.StatusCode
-		res.retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
-		resp.Body.Close()
-		res.resp = nil
-		cancel()
-		res.cancel = nil
-	}
-	return res
 }
 
 // forwardStream relays an accepted upstream stream line by line,
-// counting score rows and watching for the trailer. If upstream ends
-// without one — the replica died mid-stream — the router appends a
-// {"done":false} trailer naming the replica and trips its breaker.
-func (rt *Router) forwardStream(w http.ResponseWriter, req *http.Request, res attemptResult, endpoint string, start time.Time) {
+// counting score rows and watching for the trailer, and settles the
+// replica's breaker verdict there. If upstream ends without one — the
+// replica died mid-stream — the router appends a {"done":false} trailer
+// naming the replica and trips its breaker. Any other final answer (a
+// 404 unknown model, a 400) is relayed whole by forward.
+func (rt *Router) forwardStream(w http.ResponseWriter, res attemptResult, endpoint string, start time.Time) {
+	if res.resp.StatusCode != http.StatusOK {
+		rt.forward(w, res, endpoint, start)
+		return
+	}
 	defer res.cancel()
 	defer res.resp.Body.Close()
-	rt.requests.With(endpoint, strconv.Itoa(res.resp.StatusCode)).Inc()
+	rt.requests.With(endpoint, "200").Inc()
 	defer func() { rt.latency.With(endpoint).Observe(time.Since(start).Seconds()) }()
 
 	copyHeader(w.Header(), res.resp.Header)
 	w.Header().Del("Content-Length") // relayed line-by-line; length unknown
-	w.WriteHeader(res.resp.StatusCode)
-	if res.resp.StatusCode != http.StatusOK {
-		relay(w, res.resp.Body)
-		return
-	}
+	w.WriteHeader(http.StatusOK)
 
 	// The upstream attempt keeps reading the client's body while scores
 	// flow back, as on a replica: without full-duplex mode the HTTP/1.x

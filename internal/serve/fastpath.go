@@ -26,10 +26,14 @@ import (
 // parser's batch schema. States are pooled per model — the parser interns
 // nominal level names across requests exactly like a long-lived NDJSON
 // reader, and the scorer's bindings stay valid because the batch schema
-// only ever grows levels.
+// only ever grows levels. join marks a parser built over the
+// feedback-mode schema (fbSchema), which lets segments carry the
+// segment_id join key; the scorer skips that bookkeeping column, so both
+// schemas give byte-identical responses.
 type scoreState struct {
 	parser *data.ScoreRequestParser
 	bs     *artifact.BatchScorer
+	join   bool
 }
 
 // maxPooledLevels bounds how many nominal level names beyond the training
@@ -38,15 +42,22 @@ type scoreState struct {
 // pool memory without bound.
 const maxPooledLevels = 1024
 
-// scoreState takes a pooled state for this model, or builds one.
-func (m *Model) scoreState() *scoreState {
-	if st, ok := m.statePool.Get().(*scoreState); ok {
+// scoreState takes a pooled state for this model, or builds one, over
+// the training schema or, when join is set, the feedback-mode schema. A
+// pooled state built for the other schema is dropped; that happens only
+// when servers with and without the feedback loop share a registry.
+func (m *Model) scoreState(join bool) *scoreState {
+	if st, ok := m.statePool.Get().(*scoreState); ok && st.join == join {
 		return st
 	}
-	parser := data.NewScoreRequestParser(m.Mapper.Attrs())
+	attrs := m.Mapper.Attrs()
+	if join {
+		attrs, _ = m.fbSchema()
+	}
 	return &scoreState{
-		parser: parser,
+		parser: data.NewScoreRequestParser(attrs),
 		bs:     artifact.NewBatchScorerFor(m.Scorer, m.Mapper),
+		join:   join,
 	}
 }
 
@@ -155,13 +166,19 @@ func appendScoreResponse(b []byte, model string, kind artifact.Kind, scores []fl
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, `{"risk":`...)
-		b = data.AppendJSONFloat(b, risk)
-		if risk >= 0.5 {
-			b = append(b, `,"crash_prone":true}`...)
-		} else {
-			b = append(b, `,"crash_prone":false}`...)
-		}
+		b = appendRisk(b, risk)
 	}
 	return append(b, ']', '}', '\n')
+}
+
+// appendRisk renders one score as the JSON object of SegmentScore and
+// StreamScore, {"risk":…,"crash_prone":…}, for /score and for every
+// /score/stream line.
+func appendRisk(b []byte, risk float64) []byte {
+	b = append(b, `{"risk":`...)
+	b = data.AppendJSONFloat(b, risk)
+	if risk >= 0.5 {
+		return append(b, `,"crash_prone":true}`...)
+	}
+	return append(b, `,"crash_prone":false}`...)
 }

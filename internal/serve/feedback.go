@@ -412,30 +412,6 @@ func (m *Model) fbSchema() ([]data.Attribute, int) {
 	return m.fbAttrs, m.fbSegCol
 }
 
-// feedbackScoreState is scoreState's feedback-mode sibling: the pooled
-// parser covers fbSchema, so clients may attach segment ids to /score
-// segments; the batch scorer ignores the extra column (bookkeeping
-// columns are skipped at bind time), keeping responses byte-identical to
-// the default path.
-func (m *Model) feedbackScoreState() *scoreState {
-	if st, ok := m.fbPool.Get().(*scoreState); ok {
-		return st
-	}
-	attrs, _ := m.fbSchema()
-	return &scoreState{
-		parser: data.NewScoreRequestParser(attrs),
-		bs:     artifact.NewBatchScorerFor(m.Scorer, m.Mapper),
-	}
-}
-
-// putFeedbackScoreState mirrors putScoreState for the feedback pool.
-func (m *Model) putFeedbackScoreState(st *scoreState) {
-	if st.parser.InternedLevels() > m.schemaLevels+maxPooledLevels {
-		return
-	}
-	m.fbPool.Put(st)
-}
-
 // feedbackBufs is the reusable storage of one /feedback request: the body
 // read buffer and the decoded label columns.
 type feedbackBufs struct {
@@ -465,10 +441,6 @@ func putFeedbackBufs(b *feedbackBufs) {
 // the join window, the model's drift alarm is re-evaluated, and — with
 // AutoPromote on — the promotion gate runs.
 func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	bufs := feedbackBufPool.Get().(*feedbackBufs)
 	defer putFeedbackBufs(bufs)
 	body, err := ReadBody(w, req, s.cfg.MaxBodyBytes, bufs.body)
@@ -595,10 +567,6 @@ func (s *Server) handleShadow(w http.ResponseWriter, req *http.Request) {
 // handleShadowAbort drops the staged shadow set. Idempotent, like
 // /reload/abort.
 func (s *Server) handleShadowAbort(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	s.feedback.mu.Lock()
 	had := s.feedback.shadow != nil
 	s.feedback.shadow = nil
@@ -659,10 +627,6 @@ func (s *Server) versionBrier(name, version string) (float64, uint64) {
 // names when the staged candidates beat their incumbents, 409 with the
 // gate's reason otherwise.
 func (s *Server) handlePromote(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	promoted, names, err := s.tryPromote()
 	if err != nil {
 		writeError(w, http.StatusConflict, err.Error())

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -249,6 +250,95 @@ func TestRetryAfterConfigurable(t *testing.T) {
 	if err := <-streamDone; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFormatRetryAfter pins the one rendering of a Retry-After value that
+// replicas and the router share: whole seconds, rounded up.
+func TestFormatRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{time.Nanosecond, "1"},
+		{time.Second, "1"},
+		{1500 * time.Millisecond, "2"},
+		{90 * time.Second, "90"},
+	} {
+		if got := FormatRetryAfter(tc.d); got != tc.want {
+			t.Errorf("FormatRetryAfter(%v) = %q, want %q", tc.d, got, tc.want)
+		}
+	}
+}
+
+// TestHeaderDeadline pins the header-phase deadline RunListener gives
+// every connection: one that sends half a header is closed within
+// readHeaderTimeout plus slack, while a keep-alive connection left idle
+// for longer than that between two requests still gets its second
+// answer, because the header clock starts at a request's first byte.
+func TestHeaderDeadline(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- RunListener(ctx, ln, New(NewRegistry(), Config{}), time.Second) }()
+	t.Cleanup(func() {
+		cancel()
+		<-runDone
+	})
+	addr := ln.Addr().String()
+	const request = "GET /healthz?live=1 HTTP/1.1\r\nHost: replica\r\n"
+
+	t.Run("half a header", func(t *testing.T) {
+		t.Parallel()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		start := time.Now()
+		if _, err := io.WriteString(conn, request); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(start.Add(readHeaderTimeout + 2*time.Second))
+		n, err := conn.Read(make([]byte, 512))
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("connection with half a header still open after %v", time.Since(start))
+		}
+		if n > 0 {
+			t.Fatalf("half a header got %d bytes of answer", n)
+		}
+	})
+
+	t.Run("idle keep-alive", func(t *testing.T) {
+		t.Parallel()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second))
+		br := bufio.NewReader(conn)
+		for i := 0; i < 2; i++ {
+			if i == 1 {
+				time.Sleep(readHeaderTimeout + time.Second)
+			}
+			if _, err := io.WriteString(conn, request+"\r\n"); err != nil {
+				t.Fatalf("request %d: %v", i+1, err)
+			}
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatalf("request %d: %v", i+1, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("request %d: status %d, want 200", i+1, resp.StatusCode)
+			}
+		}
+	})
 }
 
 // TestScoreRequestTimeout pins the slowloris guard: a client that opens

@@ -32,10 +32,6 @@ type HotspotsResponse struct {
 // comes straight from the served surface, so it agrees bit-for-bit with an
 // in-process TopCells on the same fitted model.
 func (s *Server) handleHotspots(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := req.URL.Query()
 	name := q.Get("model")
 	var m *Model

@@ -56,10 +56,9 @@ type Model struct {
 	statePool    sync.Pool
 	schemaLevels int
 
-	// fbPool recycles the feedback-enabled variant of the request state,
-	// whose parser covers fbAttrs — the training schema plus a segment_id
-	// bookkeeping column when the schema lacks one (see feedback.go).
-	fbPool   sync.Pool
+	// fbAttrs is the feedback-mode request schema, built once: the
+	// training schema plus a segment_id bookkeeping column when the
+	// schema lacks one (see fbSchema in feedback.go).
 	fbOnce   sync.Once
 	fbAttrs  []data.Attribute
 	fbSegCol int

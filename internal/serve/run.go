@@ -21,11 +21,18 @@ func Run(ctx context.Context, addr string, handler http.Handler, drain time.Dura
 	return RunListener(ctx, ln, handler, drain)
 }
 
+// readHeaderTimeout bounds the header phase of every request, counted
+// from its first byte, on every listener RunListener serves: a client
+// that sends half a header is cut off, while a keep-alive connection may
+// still idle between requests. Body deadlines, where an endpoint has
+// one, are the endpoint's own (Config.RequestTimeout, StreamTimeout).
+const readHeaderTimeout = 5 * time.Second
+
 // RunListener is Run over an existing listener — the injectable form used
 // by tests (listen on :0, read the bound address) and by callers managing
 // their own sockets. It owns the listener and closes it on return.
 func RunListener(ctx context.Context, ln net.Listener, handler http.Handler, drain time.Duration) error {
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

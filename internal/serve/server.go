@@ -212,8 +212,7 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	// retryAfter is cfg.RetryAfter rendered once: whole seconds, rounded
-	// up, never below 1 (Retry-After: 0 tells clients to hammer).
+	// retryAfter is cfg.RetryAfter rendered once by FormatRetryAfter.
 	retryAfter string
 
 	// staged holds the model set decoded by POST /reload/prepare, awaiting
@@ -247,6 +246,14 @@ type Server struct {
 	promotions    *metrics.CounterVec    // {outcome}
 }
 
+// FormatRetryAfter renders a backoff as a Retry-After header value:
+// whole seconds, rounded up, so any positive d reads at least "1" (a
+// Retry-After of 0 tells clients to retry at once). Replicas send it with
+// a 429; the router sends it with its own 503s and 429s.
+func FormatRetryAfter(d time.Duration) string {
+	return strconv.FormatInt(int64((d+time.Second-1)/time.Second), 10)
+}
+
 // NewServer builds the service with the default configuration — the
 // convenience constructor; New exposes the tuning knobs.
 func NewServer(reg *Registry) *Server { return New(reg, Config{}) }
@@ -255,7 +262,7 @@ func NewServer(reg *Registry) *Server { return New(reg, Config{}) }
 // defaults.
 func New(reg *Registry, cfg Config) *Server {
 	s := &Server{reg: reg, cfg: cfg.withDefaults(), metrics: metrics.NewRegistry()}
-	s.retryAfter = strconv.FormatInt(int64((s.cfg.RetryAfter+time.Second-1)/time.Second), 10)
+	s.retryAfter = FormatRetryAfter(s.cfg.RetryAfter)
 	s.inFlight = s.metrics.Gauge("crashprone_in_flight_requests",
 		"Scoring requests currently being handled.")
 	s.requests = s.metrics.CounterVec("crashprone_requests_total",
@@ -296,25 +303,27 @@ func New(reg *Registry, cfg Config) *Server {
 			"Shadow staging and promotion-gate decisions by outcome.", "outcome")
 	}
 
+	// The scoring endpoints check their method inside admit, so a wrong
+	// method is admitted and counted like any other answer.
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/models", s.handleModels)
-	mux.HandleFunc("/score", s.admit("score", s.handleScore))
-	mux.HandleFunc("/score/stream", s.admit("stream", s.handleStream))
-	mux.HandleFunc("/hotspots", s.admit("hotspots", s.handleHotspots))
+	mux.HandleFunc("/healthz", only(http.MethodGet, s.handleHealthz))
+	mux.HandleFunc("/metrics", only(http.MethodGet, s.handleMetrics))
+	mux.HandleFunc("/models", only(http.MethodGet, s.handleModels))
+	mux.HandleFunc("/score", s.admit("score", only(http.MethodPost, s.handleScore)))
+	mux.HandleFunc("/score/stream", s.admit("stream", only(http.MethodPost, s.handleStream)))
+	mux.HandleFunc("/hotspots", s.admit("hotspots", only(http.MethodGet, s.handleHotspots)))
 	if s.cfg.ReloadDir != "" {
-		mux.HandleFunc("/reload", s.handleReload)
-		mux.HandleFunc("/reload/prepare", s.handleReloadPrepare)
-		mux.HandleFunc("/reload/commit", s.handleReloadCommit)
-		mux.HandleFunc("/reload/abort", s.handleReloadAbort)
+		mux.HandleFunc("/reload", only(http.MethodPost, s.handleReload))
+		mux.HandleFunc("/reload/prepare", only(http.MethodPost, s.handleReloadPrepare))
+		mux.HandleFunc("/reload/commit", only(http.MethodPost, s.handleReloadCommit))
+		mux.HandleFunc("/reload/abort", only(http.MethodPost, s.handleReloadAbort))
 	}
 	if s.feedback != nil {
-		mux.HandleFunc("/feedback", s.handleFeedback)
+		mux.HandleFunc("/feedback", only(http.MethodPost, s.handleFeedback))
 		if s.cfg.ReloadDir != "" {
 			mux.HandleFunc("/shadow", s.handleShadow)
-			mux.HandleFunc("/shadow/abort", s.handleShadowAbort)
-			mux.HandleFunc("/promote", s.handlePromote)
+			mux.HandleFunc("/shadow/abort", only(http.MethodPost, s.handleShadowAbort))
+			mux.HandleFunc("/promote", only(http.MethodPost, s.handlePromote))
 		}
 	}
 	s.mux = mux
@@ -370,6 +379,18 @@ func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// only is the method guard of an endpoint that takes one method: any
+// other is answered 405 naming it.
+func only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if req.Method != method {
+			writeError(w, http.StatusMethodNotAllowed, method+" only")
+			return
+		}
+		h(w, req)
+	}
+}
+
 // handleHealthz reports liveness and readiness. Readiness requires at
 // least one loaded model: a replica with an empty registry can only 404
 // every scoring request, so it answers 503 with ready:false and a routing
@@ -377,10 +398,6 @@ func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 // only — always 200 while the process serves — so process supervisors can
 // distinguish "restart me" from "don't route to me yet".
 func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	n := s.reg.Len()
 	if req.URL.Query().Get("live") == "1" {
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "live": true, "models": n})
@@ -401,19 +418,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WritePrometheus(w)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	models := s.reg.Models()
 	infos := make([]ModelInfo, 0, len(models))
 	for _, m := range models {
@@ -431,10 +440,6 @@ func (s *Server) handleModels(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	names, err := s.reg.ReloadDir(s.cfg.ReloadDir)
 	if err != nil {
 		s.reloads.With("error").Inc()
@@ -452,10 +457,6 @@ func (s *Server) handleReload(w http.ResponseWriter, req *http.Request) {
 // prepare clears it, so a stale set can never be committed after a newer
 // prepare was refused.
 func (s *Server) handleReloadPrepare(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	staged, err := s.reg.PrepareDir(s.cfg.ReloadDir)
 	s.stagedMu.Lock()
 	s.staged = staged // nil on error
@@ -474,10 +475,6 @@ func (s *Server) handleReloadPrepare(w http.ResponseWriter, req *http.Request) {
 // swap itself cannot fail; 409 means nothing was staged (no prepare, or
 // an abort/failed prepare since).
 func (s *Server) handleReloadCommit(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	s.stagedMu.Lock()
 	staged := s.staged
 	s.staged = nil
@@ -496,10 +493,6 @@ func (s *Server) handleReloadCommit(w http.ResponseWriter, req *http.Request) {
 // a fleet controller can abort every replica without tracking which ones
 // prepared successfully.
 func (s *Server) handleReloadAbort(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	s.stagedMu.Lock()
 	had := s.staged != nil
 	s.staged = nil
@@ -509,10 +502,6 @@ func (s *Server) handleReloadAbort(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	// One deadline covers reading the body and writing the response, so a
 	// slowloris client cannot hold the worker past RequestTimeout. Errors
 	// are ignored: a transport without deadline support (ErrNotSupported)
@@ -551,28 +540,14 @@ func (s *Server) handleScore(w http.ResponseWriter, req *http.Request) {
 			return nil, unknownModelError(name)
 		}
 		m = mm
-		if s.feedback != nil {
-			// Feedback mode parses against the merged schema (training
-			// attributes plus segment_id) so requests can carry the join
-			// key; the scorer ignores the extra column, so the response
-			// bytes match the default path exactly.
-			st = mm.feedbackScoreState()
-		} else {
-			st = mm.scoreState()
-		}
+		st = mm.scoreState(s.feedback != nil)
 		return st.parser, nil
 	})
 	if st != nil {
 		// The batch and its scores live in the pooled state; the response
 		// is fully written before the handler returns, so the deferred put
 		// cannot release them early.
-		defer func() {
-			if s.feedback != nil {
-				m.putFeedbackScoreState(st)
-			} else {
-				m.putScoreState(st)
-			}
-		}()
+		defer m.putScoreState(st)
 	}
 	if err != nil {
 		var (
@@ -632,10 +607,6 @@ func (s *Server) handleScore(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	name := req.URL.Query().Get("model")
 	if name == "" {
 		writeError(w, http.StatusBadRequest, "missing model query parameter")
@@ -705,14 +676,7 @@ func (s *Server) streamScores(w http.ResponseWriter, name string, m *Model, req 
 		// the hot path. The lines are the JSON form of StreamScore.
 		lines = lines[:0]
 		for _, risk := range scores {
-			lines = append(lines, `{"risk":`...)
-			lines = data.AppendJSONFloat(lines, risk)
-			if risk >= 0.5 {
-				lines = append(lines, `,"crash_prone":true}`...)
-			} else {
-				lines = append(lines, `,"crash_prone":false}`...)
-			}
-			lines = append(lines, '\n')
+			lines = append(appendRisk(lines, risk), '\n')
 		}
 		if _, err := w.Write(lines); err != nil {
 			return err
