@@ -1,9 +1,8 @@
 // Command doccheck enforces godoc coverage: every exported identifier in
-// the given packages must carry a doc comment. It is the CI gate behind
-// the documentation contract of the library's public surfaces
-// (internal/engine, internal/serve, internal/artifact).
+// the given packages must carry a doc comment. CI runs it over every
+// package under internal/:
 //
-//	go run ./cmd/doccheck internal/engine internal/serve internal/artifact
+//	go run ./cmd/doccheck $(go list ./internal/... | sed 's|^roadcrash/||')
 //
 // A declaration is considered documented when the declaration group, the
 // spec, or a trailing line comment explains it — matching how godoc

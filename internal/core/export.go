@@ -272,27 +272,3 @@ func putMetric(metrics map[string]float64, name string, v float64) {
 		metrics[name] = v
 	}
 }
-
-// ExportBest runs the sweep for the given phase, picks the best MCPV
-// threshold (the paper's decision rule) and exports that model — the
-// sweep-to-artifact wiring behind `crashprone sweep -export-best`.
-func (s *Study) ExportBest(phase int, learner string) (*artifact.Artifact, error) {
-	var rows []SweepRow
-	var err error
-	switch phase {
-	case 1:
-		rows, err = s.Table3()
-	case 2:
-		rows, err = s.Table4()
-	default:
-		return nil, fmt.Errorf("core: phase must be 1 or 2, got %d", phase)
-	}
-	if err != nil {
-		return nil, err
-	}
-	best, err := BestThreshold(rows)
-	if err != nil {
-		return nil, err
-	}
-	return s.ExportArtifact(ExportOptions{Phase: phase, Threshold: best, Learner: learner})
-}

@@ -15,11 +15,17 @@ import (
 type Phase int
 
 const (
+	// BusinessUnderstanding sets the objectives and success criteria.
 	BusinessUnderstanding Phase = iota
+	// DataUnderstanding collects and explores the source data.
 	DataUnderstanding
+	// DataPreparation builds the modeling datasets from the sources.
 	DataPreparation
+	// Modeling selects and fits the models.
 	Modeling
+	// Evaluation assesses the models against the objectives.
 	Evaluation
+	// Deployment delivers the results, such as a report or model artifacts.
 	Deployment
 )
 
@@ -130,6 +136,3 @@ func (p *Pipeline) Report() string {
 	}
 	return b.String()
 }
-
-// Steps returns the number of executed steps (after Run).
-func (p *Pipeline) Steps() int { return len(p.report) }

@@ -42,8 +42,8 @@ func TestRunExecutesInCanonicalOrder(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-	if p.Steps() != 5 {
-		t.Fatalf("steps = %d", p.Steps())
+	if len(p.report) != 5 {
+		t.Fatalf("steps = %d", len(p.report))
 	}
 }
 
@@ -104,7 +104,7 @@ func TestRunIsRepeatable(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("count = %d", count)
 	}
-	if p.Steps() != 1 {
-		t.Fatalf("report should reset between runs: %d", p.Steps())
+	if len(p.report) != 1 {
+		t.Fatalf("report should reset between runs: %d", len(p.report))
 	}
 }

@@ -250,17 +250,6 @@ func (d *Dataset) Subset(name string, idx []int) *Dataset {
 	return &Dataset{name: name, attrs: d.attrs, cols: cols, n: len(idx)}
 }
 
-// Filter returns the subset of instances for which keep returns true.
-func (d *Dataset) Filter(name string, keep func(i int) bool) *Dataset {
-	var idx []int
-	for i := 0; i < d.n; i++ {
-		if keep(i) {
-			idx = append(idx, i)
-		}
-	}
-	return d.Subset(name, idx)
-}
-
 // DropAttrs returns a dataset without the named attributes. Unknown names
 // are reported as an error so experiment configs fail loudly.
 func (d *Dataset) DropAttrs(names ...string) (*Dataset, error) {

@@ -100,15 +100,11 @@ func TestRowCopies(t *testing.T) {
 	}
 }
 
-func TestSubsetAndFilter(t *testing.T) {
+func TestSubset(t *testing.T) {
 	d := sample()
 	s := d.Subset("sub", []int{3, 0, 3})
 	if s.Len() != 3 || s.At(0, 3) != 12 || s.At(2, 3) != 12 {
 		t.Fatalf("subset wrong: %v", s.Col(3))
-	}
-	crashes := d.Filter("crashes", func(i int) bool { return d.At(i, 2) == 1 })
-	if crashes.Len() != 3 {
-		t.Fatalf("filter len = %d", crashes.Len())
 	}
 }
 

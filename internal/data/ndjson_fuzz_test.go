@@ -71,7 +71,7 @@ func FuzzNDJSONBatchReader(f *testing.F) {
 		if err := ds.WriteNDJSON(&buf); err != nil {
 			t.Fatalf("accepted stream failed to serialize: %v", err)
 		}
-		back, err := ReadNDJSON("fuzz2", bytes.NewReader(buf.Bytes()), ds.Attrs())
+		back, err := ReadAll("fuzz2", NewNDJSONBatchReader(bytes.NewReader(buf.Bytes()), ds.Attrs(), DefaultChunkSize))
 		if err != nil {
 			t.Fatalf("round-trip rejected its own output: %v\ninput: %q\nwritten: %q", err, in, buf.String())
 		}

@@ -37,6 +37,7 @@ type BatchLimitError struct {
 	N, Limit int
 }
 
+// Error states the segment count and the limit it exceeds.
 func (e *BatchLimitError) Error() string {
 	return fmt.Sprintf("batch of %d exceeds the %d-segment limit", e.N, e.Limit)
 }
@@ -49,8 +50,10 @@ type SegmentError struct {
 	Err     error
 }
 
+// Error prefixes the underlying error with the segment position.
 func (e *SegmentError) Error() string { return fmt.Sprintf("segment %d: %v", e.Segment, e.Err) }
 
+// Unwrap returns the underlying error, so errors.Is and errors.As see it.
 func (e *SegmentError) Unwrap() error { return e.Err }
 
 // maxScoreDepth caps JSON nesting while structurally skipping unknown

@@ -357,12 +357,6 @@ func (r *NDJSONBatchReader) nextLine() ([]byte, error) {
 	return nil, io.EOF
 }
 
-// ReadNDJSON materializes an NDJSON stream in the given schema — the
-// in-memory convenience over NewNDJSONBatchReader + ReadAll.
-func ReadNDJSON(name string, r io.Reader, attrs []Attribute) (*Dataset, error) {
-	return ReadAll(name, NewNDJSONBatchReader(r, attrs, DefaultChunkSize))
-}
-
 // datasetStream adapts an in-memory dataset to the BatchReader interface
 // by slicing its columns chunk by chunk — zero-copy, so streaming
 // consumers can be driven from materialized data in tests and writers.

@@ -187,7 +187,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	if err := d.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadNDJSON("back", &buf, d.Attrs())
+	back, err := ReadAll("back", NewNDJSONBatchReader(&buf, d.Attrs(), DefaultChunkSize))
 	if err != nil {
 		t.Fatal(err)
 	}

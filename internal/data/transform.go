@@ -7,23 +7,6 @@ import (
 	"roadcrash/internal/rng"
 )
 
-// Split partitions the dataset into train and validation subsets with the
-// given training fraction, using the paper's train/validation method
-// ("the training/validation method was used because correlations between
-// the training and validation plots ... are good indicators of the raw
-// model quality"). frac must lie in (0, 1).
-func (d *Dataset) Split(r *rng.Source, frac float64) (train, valid *Dataset, err error) {
-	if frac <= 0 || frac >= 1 {
-		return nil, nil, fmt.Errorf("data: split fraction %v outside (0,1)", frac)
-	}
-	perm := r.Perm(d.n)
-	cut := int(math.Round(frac * float64(d.n)))
-	if cut == 0 || cut == d.n {
-		return nil, nil, fmt.Errorf("data: split fraction %v leaves an empty side for n=%d", frac, d.n)
-	}
-	return d.Subset(d.name+"/train", perm[:cut]), d.Subset(d.name+"/valid", perm[cut:]), nil
-}
-
 // StratifiedSplit splits while preserving the class mix of binary column
 // target in both sides — important for the paper's extremely unbalanced
 // CP-32 and CP-64 datasets, where a plain split can lose the whole minority
@@ -154,55 +137,6 @@ func (d *Dataset) CountThresholdTarget(countAttr string, threshold int, targetNa
 		}
 	}
 	return d.AppendColumn(Attribute{Name: targetName, Kind: Binary}, col)
-}
-
-// Standardize returns a dataset whose interval columns are rescaled to zero
-// mean and unit variance (missing values preserved), plus the per-column
-// means and standard deviations used. Constant columns keep sd=1 so the
-// transform stays invertible. Nominal and binary columns pass through.
-func (d *Dataset) Standardize() (*Dataset, []float64, []float64) {
-	means := make([]float64, len(d.attrs))
-	sds := make([]float64, len(d.attrs))
-	cols := make([][]float64, len(d.cols))
-	for j, a := range d.attrs {
-		if a.Kind != Interval {
-			means[j], sds[j] = 0, 1
-			cols[j] = d.cols[j]
-			continue
-		}
-		var sum, sumSq float64
-		n := 0
-		for _, v := range d.cols[j] {
-			if IsMissing(v) {
-				continue
-			}
-			sum += v
-			sumSq += v * v
-			n++
-		}
-		if n == 0 {
-			means[j], sds[j] = 0, 1
-			cols[j] = d.cols[j]
-			continue
-		}
-		mean := sum / float64(n)
-		variance := sumSq/float64(n) - mean*mean
-		sd := math.Sqrt(math.Max(variance, 0))
-		if sd == 0 {
-			sd = 1
-		}
-		means[j], sds[j] = mean, sd
-		col := make([]float64, d.n)
-		for i, v := range d.cols[j] {
-			if IsMissing(v) {
-				col[i] = Missing
-			} else {
-				col[i] = (v - mean) / sd
-			}
-		}
-		cols[j] = col
-	}
-	return &Dataset{name: d.name + "/std", attrs: d.attrs, cols: cols, n: d.n}, means, sds
 }
 
 // ClassCounts returns (negatives, positives) of a binary column, ignoring

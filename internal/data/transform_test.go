@@ -1,7 +1,6 @@
 package data
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -22,53 +21,6 @@ func bigSample(n, pos int) *Dataset {
 		b.Row(float64(i), y, count)
 	}
 	return b.Build()
-}
-
-func TestSplitSizes(t *testing.T) {
-	d := bigSample(100, 30)
-	train, valid, err := d.Split(rng.New(1), 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.Len() != 70 || valid.Len() != 30 {
-		t.Fatalf("split sizes = %d/%d", train.Len(), valid.Len())
-	}
-}
-
-func TestSplitDisjointAndComplete(t *testing.T) {
-	d := bigSample(50, 10)
-	train, valid, err := d.Split(rng.New(2), 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[float64]int{}
-	for i := 0; i < train.Len(); i++ {
-		seen[train.At(i, 0)]++
-	}
-	for i := 0; i < valid.Len(); i++ {
-		seen[valid.At(i, 0)]++
-	}
-	if len(seen) != 50 {
-		t.Fatalf("union covers %d ids, want 50", len(seen))
-	}
-	for id, c := range seen {
-		if c != 1 {
-			t.Fatalf("id %v appears %d times", id, c)
-		}
-	}
-}
-
-func TestSplitErrors(t *testing.T) {
-	d := bigSample(10, 2)
-	for _, frac := range []float64{0, 1, -0.5, 1.5} {
-		if _, _, err := d.Split(rng.New(1), frac); err == nil {
-			t.Errorf("frac %v should error", frac)
-		}
-	}
-	tiny := bigSample(2, 1)
-	if _, _, err := tiny.Split(rng.New(1), 0.01); err == nil {
-		t.Error("empty-side split should error")
-	}
 }
 
 func TestStratifiedSplitPreservesMix(t *testing.T) {
@@ -248,42 +200,6 @@ func TestCountThresholdMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStandardize(t *testing.T) {
-	d := NewBuilder("std").Interval("x").Binary("y").
-		Row(1, 0).Row(2, 1).Row(3, 0).Row(Missing, 1).Build()
-	std, means, sds := d.Standardize()
-	if math.Abs(means[0]-2) > 1e-9 {
-		t.Fatalf("mean = %v", means[0])
-	}
-	col := std.Col(0)
-	if math.Abs(col[0]+col[2]) > 1e-9 || col[1] != 0 {
-		t.Fatalf("standardized col = %v", col)
-	}
-	if !IsMissing(col[3]) {
-		t.Fatal("missing value should stay missing")
-	}
-	// Binary column untouched.
-	if std.At(1, 1) != 1 {
-		t.Fatal("binary column was standardized")
-	}
-	if sds[1] != 1 {
-		t.Fatal("non-interval sd should be 1")
-	}
-}
-
-func TestStandardizeConstantColumn(t *testing.T) {
-	d := NewBuilder("const").Interval("x").Row(5).Row(5).Row(5).Build()
-	std, _, sds := d.Standardize()
-	if sds[0] != 1 {
-		t.Fatalf("constant column sd = %v", sds[0])
-	}
-	for _, v := range std.Col(0) {
-		if v != 0 {
-			t.Fatalf("constant column standardized to %v", v)
-		}
 	}
 }
 

@@ -62,9 +62,6 @@ func (c Confusion) Sensitivity() float64 {
 	return float64(c.TP) / float64(c.TP+c.FN)
 }
 
-// Recall is an alias for Sensitivity, matching Table 2's naming.
-func (c Confusion) Recall() float64 { return c.Sensitivity() }
-
 // Specificity returns TN/(FP+TN).
 func (c Confusion) Specificity() float64 {
 	if c.FP+c.TN == 0 {
@@ -159,15 +156,6 @@ func (c Confusion) WeightedRecall() float64 {
 		spec = 0
 	}
 	return posW*sens + negW*spec
-}
-
-// FMeasure returns the F1 score of the positive class.
-func (c Confusion) FMeasure() float64 {
-	p, r := c.PPV(), c.Sensitivity()
-	if math.IsNaN(p) || math.IsNaN(r) || p+r == 0 {
-		return math.NaN()
-	}
-	return 2 * p * r / (p + r)
 }
 
 // String renders the matrix with its headline statistics.

@@ -75,11 +75,19 @@ func TestConfusionOneClassColumns(t *testing.T) {
 	if got := negOnly.PPV(); !math.IsNaN(got) {
 		t.Fatalf("PPV with no positive predictions = %v, want NaN", got)
 	}
-	if got := negOnly.FMeasure(); !math.IsNaN(got) {
-		t.Fatalf("FMeasure with no positives = %v, want NaN", got)
-	}
 	if got := negOnly.MCPV(); got != 1 {
 		t.Fatalf("MCPV one-sided = %v, want 1", got)
+	}
+
+	// The weighted measures give the absent class zero weight instead of
+	// letting its NaN precision or recall poison the average.
+	for name, c := range map[string]Confusion{"positives only": posOnly, "negatives only": negOnly} {
+		if got := c.WeightedPrecision(); got != 1 {
+			t.Fatalf("%s: WeightedPrecision = %v, want 1", name, got)
+		}
+		if got := c.WeightedRecall(); got != 1 {
+			t.Fatalf("%s: WeightedRecall = %v, want 1", name, got)
+		}
 	}
 }
 

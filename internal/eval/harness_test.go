@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"roadcrash/internal/data"
@@ -129,6 +130,21 @@ func TestEvaluateRegressionSplit(t *testing.T) {
 	}
 }
 
+func TestEvaluateRegressionSplitErrors(t *testing.T) {
+	b := data.NewBuilder("re").Interval("x").Interval("y")
+	b.Row(1, data.Missing)
+	ds := b.Build()
+	boom := errors.New("boom")
+	failing := func(tr *data.Dataset, tgt int) (Regressor, error) { return nil, boom }
+	if _, _, _, err := EvaluateRegressionSplit(failing, ds, ds, 1); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want wrapped boom", err)
+	}
+	mean := func(tr *data.Dataset, tgt int) (Regressor, error) { return meanModel{}, nil }
+	if r2, _, _, err := EvaluateRegressionSplit(mean, ds, ds, 1); err == nil || !math.IsNaN(r2) {
+		t.Fatalf("all-missing validation = %v, %v; want NaN and an error", r2, err)
+	}
+}
+
 func TestCrossValidate(t *testing.T) {
 	ds := harnessData(100)
 	target := ds.MustAttrIndex("y")
@@ -190,6 +206,35 @@ func TestEvaluateSplitSurfacesModel(t *testing.T) {
 	}
 	if res.Model != want {
 		t.Fatalf("Model = %v, want the trained classifier", res.Model)
+	}
+}
+
+// TestCrossValidateFoldError checks a failing fold stops the run with an
+// error that names the fold and wraps the trainer's.
+func TestCrossValidateFoldError(t *testing.T) {
+	ds := harnessData(20)
+	boom := errors.New("boom")
+	trainer := func(tr *data.Dataset, tgt int) (Classifier, error) { return nil, boom }
+	_, err := CrossValidateWorkers(trainer, ds, 1, 5, rng.New(3), 2)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "fold 0") {
+		t.Fatalf("err = %v, want fold 0 wrapping boom", err)
+	}
+}
+
+// TestCrossValidateSingleClassAUC checks pooled folds with one class give
+// an AUC of NaN rather than an error.
+func TestCrossValidateSingleClassAUC(t *testing.T) {
+	b := data.NewBuilder("one").Interval("x").Binary("y")
+	for i := 0; i < 20; i++ {
+		b.Row(float64(i), 1)
+	}
+	trainer := func(tr *data.Dataset, tgt int) (Classifier, error) { return thresholdModel{cut: 5}, nil }
+	res, err := CrossValidateWorkers(trainer, b.Build(), 1, 4, rng.New(4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Confusion.N() != 20 || !math.IsNaN(res.AUC) {
+		t.Fatalf("N = %d AUC = %v, want 20 and NaN", res.Confusion.N(), res.AUC)
 	}
 }
 

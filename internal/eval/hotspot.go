@@ -74,20 +74,3 @@ func HitRateAtK(scores, crashes []float64, k int) (float64, error) {
 	}
 	return hit / total, nil
 }
-
-// HitRateByArea returns the fraction of next-period crashes captured when
-// covering the given fraction of the cells (area), taking the
-// highest-scored ceil(fraction × cells) cells. fraction must be in (0, 1].
-func HitRateByArea(scores, crashes []float64, fraction float64) (float64, error) {
-	if math.IsNaN(fraction) || fraction <= 0 || fraction > 1 {
-		return math.NaN(), fmt.Errorf("eval: HitRateByArea fraction %v outside (0, 1]", fraction)
-	}
-	if len(scores) == 0 {
-		return math.NaN(), fmt.Errorf("eval: HitRateByArea on empty input")
-	}
-	k := int(math.Ceil(fraction * float64(len(scores))))
-	if k > len(scores) {
-		k = len(scores)
-	}
-	return HitRateAtK(scores, crashes, k)
-}

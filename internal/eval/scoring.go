@@ -1,15 +1,11 @@
 package eval
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // LogLossClamp bounds the probability used in the log-loss so a hard 0 or
 // 1 prediction meeting the opposite label scores a large finite penalty
-// instead of +Inf. The serving feedback loop and the offline hotspot
-// evaluation share this constant — the drift alarm thresholds depend on
-// it, so it must not diverge between the two.
+// instead of +Inf. The serving feedback loop's rolling log-loss clamps
+// with it, and its drift alarm thresholds depend on the value.
 const LogLossClamp = 1e-9
 
 // BrierPoint returns the squared-error contribution of one probabilistic
@@ -25,58 +21,4 @@ func BrierPoint(p, y float64) float64 {
 func LogLossPoint(p, y float64) float64 {
 	q := math.Min(1-LogLossClamp, math.Max(LogLossClamp, p))
 	return -(y*math.Log(q) + (1-y)*math.Log(1-q))
-}
-
-// checkProbs validates a probability/label pairing for the aggregate
-// scores: equal non-zero lengths and every probability a real number in
-// [0, 1]. Degenerate inputs error crisply instead of averaging to a
-// silently meaningless score.
-func checkProbs(name string, probs []float64, labels []bool) error {
-	if len(probs) != len(labels) {
-		return fmt.Errorf("eval: %s with %d probabilities but %d labels", name, len(probs), len(labels))
-	}
-	if len(probs) == 0 {
-		return fmt.Errorf("eval: %s on empty input", name)
-	}
-	for i, p := range probs {
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return fmt.Errorf("eval: %s probability %d is %v, want [0, 1]", name, i, p)
-		}
-	}
-	return nil
-}
-
-// Brier returns the mean squared error of probabilistic predictions
-// against boolean outcomes — the proper score both the offline hotspot
-// evaluation and the serve feedback loop report.
-func Brier(probs []float64, labels []bool) (float64, error) {
-	if err := checkProbs("Brier", probs, labels); err != nil {
-		return math.NaN(), err
-	}
-	sum := 0.0
-	for i, p := range probs {
-		y := 0.0
-		if labels[i] {
-			y = 1
-		}
-		sum += BrierPoint(p, y)
-	}
-	return sum / float64(len(probs)), nil
-}
-
-// LogLoss returns the mean clamped negative log-likelihood of
-// probabilistic predictions against boolean outcomes.
-func LogLoss(probs []float64, labels []bool) (float64, error) {
-	if err := checkProbs("LogLoss", probs, labels); err != nil {
-		return math.NaN(), err
-	}
-	sum := 0.0
-	for i, p := range probs {
-		y := 0.0
-		if labels[i] {
-			y = 1
-		}
-		sum += LogLossPoint(p, y)
-	}
-	return sum / float64(len(probs)), nil
 }

@@ -23,45 +23,6 @@ func TestBrierAndLogLossPoints(t *testing.T) {
 	}
 }
 
-func TestBrierAggregate(t *testing.T) {
-	got, err := Brier([]float64{1, 0, 0.5, 0.5}, []bool{true, false, true, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (0.0 + 0 + 0.25 + 0.25) / 4; got != want {
-		t.Fatalf("Brier = %v, want %v", got, want)
-	}
-	ll, err := LogLoss([]float64{0.5, 0.5}, []bool{true, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := -math.Log(0.5); math.Abs(ll-want) > 1e-12 {
-		t.Fatalf("LogLoss = %v, want %v", ll, want)
-	}
-}
-
-func TestScoringErrorsCrisply(t *testing.T) {
-	cases := []struct {
-		name   string
-		probs  []float64
-		labels []bool
-	}{
-		{"empty", nil, nil},
-		{"mismatch", []float64{0.5}, []bool{true, false}},
-		{"nan", []float64{math.NaN()}, []bool{true}},
-		{"below", []float64{-0.1}, []bool{true}},
-		{"above", []float64{1.1}, []bool{true}},
-	}
-	for _, tc := range cases {
-		if _, err := Brier(tc.probs, tc.labels); err == nil {
-			t.Errorf("Brier %s: expected error", tc.name)
-		}
-		if _, err := LogLoss(tc.probs, tc.labels); err == nil {
-			t.Errorf("LogLoss %s: expected error", tc.name)
-		}
-	}
-}
-
 func TestHitRateAtK(t *testing.T) {
 	scores := []float64{0.9, 0.1, 0.5, 0.3}
 	crashes := []float64{4, 1, 3, 2}
@@ -88,28 +49,6 @@ func TestHitRateTiesDeterministic(t *testing.T) {
 	}
 	if want := 3.0 / 10.0; got != want {
 		t.Fatalf("tie-broken HitRateAtK = %v, want %v", got, want)
-	}
-}
-
-func TestHitRateByArea(t *testing.T) {
-	scores := []float64{0.9, 0.1, 0.5, 0.3}
-	crashes := []float64{4, 1, 3, 2}
-	// fraction 0.5 of 4 cells = top 2 cells.
-	got, err := HitRateByArea(scores, crashes, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 0.7; got != want {
-		t.Fatalf("HitRateByArea = %v, want %v", got, want)
-	}
-	if _, err := HitRateByArea(scores, crashes, 0); err == nil {
-		t.Error("fraction 0 should error")
-	}
-	if _, err := HitRateByArea(scores, crashes, 1.5); err == nil {
-		t.Error("fraction > 1 should error")
-	}
-	if _, err := HitRateByArea(nil, nil, 0.5); err == nil {
-		t.Error("empty input should error")
 	}
 }
 

@@ -119,13 +119,3 @@ func (g Grid) Counts(obs []Observation) []float64 {
 	}
 	return out
 }
-
-// Labels converts per-cell crash counts into the evaluation labels: a cell
-// is positive when it recorded at least one crash in the period.
-func Labels(counts []float64) []bool {
-	out := make([]bool, len(counts))
-	for i, c := range counts {
-		out[i] = c >= 1
-	}
-	return out
-}

@@ -41,6 +41,31 @@ func TestNewGridErrors(t *testing.T) {
 	}
 }
 
+// TestGridValidate rejects each structural defect a deserialized grid can
+// carry: a non-positive or non-finite cell size, an empty axis and a
+// non-finite origin.
+func TestGridValidate(t *testing.T) {
+	good := Grid{MinX: -1, MinY: 2, CellKm: 1.5, NX: 4, NY: 3}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid grid rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Grid){
+		"zero cell":       func(g *Grid) { g.CellKm = 0 },
+		"NaN cell":        func(g *Grid) { g.CellKm = math.NaN() },
+		"infinite cell":   func(g *Grid) { g.CellKm = math.Inf(1) },
+		"no columns":      func(g *Grid) { g.NX = 0 },
+		"negative rows":   func(g *Grid) { g.NY = -1 },
+		"NaN origin":      func(g *Grid) { g.MinX = math.NaN() },
+		"infinite origin": func(g *Grid) { g.MinY = math.Inf(-1) },
+	} {
+		g := good
+		mutate(&g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: %+v accepted", name, g)
+		}
+	}
+}
+
 func TestCellOfBoundaries(t *testing.T) {
 	g := mustGrid(t, 0, 0, 10, 10, 2.5)
 	cases := []struct {
@@ -80,7 +105,7 @@ func TestCenterRoundTrips(t *testing.T) {
 	}
 }
 
-func TestCountsAndLabels(t *testing.T) {
+func TestCounts(t *testing.T) {
 	g := mustGrid(t, 0, 0, 10, 10, 5)
 	obs := []Observation{
 		{X: 1, Y: 1, Crashes: 2},
@@ -94,9 +119,5 @@ func TestCountsAndLabels(t *testing.T) {
 		if counts[c] != w {
 			t.Fatalf("counts = %v, want %v", counts, want)
 		}
-	}
-	labels := Labels(counts)
-	if !labels[0] || labels[1] || labels[2] || !labels[3] {
-		t.Fatalf("labels = %v", labels)
 	}
 }

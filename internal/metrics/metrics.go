@@ -1,11 +1,11 @@
 // Package metrics is a dependency-free instrumentation layer for the
 // scoring service: atomic counters, gauges and fixed-bucket histograms,
-// optionally fanned out over label values, collected in a Registry that
-// renders the Prometheus text exposition format. The hot path is
-// lock-cheap — incrementing an existing series is one atomic add (plus
-// one RWMutex read-lock when the series is addressed through a labeled
-// vector), so request handlers can record freely without serializing on
-// the metrics layer.
+// fanned out over label values (a gauge may also stand alone), collected
+// in a Registry that renders the Prometheus text exposition format. The
+// hot path is lock-cheap — incrementing an existing series is one atomic
+// add (plus one RWMutex read-lock when the series is addressed through a
+// labeled vector), so request handlers can record freely without
+// serializing on the metrics layer.
 package metrics
 
 import (
@@ -75,7 +75,6 @@ type Rolling struct {
 	mu      sync.Mutex
 	samples []float64
 	next    int
-	filled  bool
 	total   uint64
 }
 
@@ -101,16 +100,8 @@ func (r *Rolling) Add(v float64) {
 		r.samples = append(r.samples, v)
 		return
 	}
-	r.filled = true
 	r.samples[r.next] = v
 	r.next = (r.next + 1) % len(r.samples)
-}
-
-// Count returns how many observations are currently in the window.
-func (r *Rolling) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
 }
 
 // Total returns how many observations were ever recorded, including ones
@@ -205,50 +196,14 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// inside the bucket holding it. It returns 0 for an empty histogram and
-// +Inf when the rank lands in the +Inf overflow bucket: the histogram
-// genuinely does not know how far beyond the last finite bound those
-// observations reach, and the honest answer is "saturated" — clamping to
-// the last bound (the old behaviour) made a dashboard's p99 read 10s
-// while real latencies ran to minutes. Callers that want a displayable
-// ceiling can test math.IsInf and render the last bound with a ">="
-// qualifier.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, n := 0, len(h.bounds); i < n; i++ {
-		c := float64(h.counts[i].Load())
-		if cum+c >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if c == 0 {
-				return h.bounds[i]
-			}
-			return lo + (h.bounds[i]-lo)*(rank-cum)/c
-		}
-		cum += c
-	}
-	return math.Inf(1) // rank falls in the +Inf bucket: saturated
-}
-
 // metric is one family: a name, help text and the series under it.
 type metric struct {
 	name string
 	help string
 	typ  string // counter, gauge, histogram
 
-	// Exactly one of the following sets is populated.
-	counter *Counter
-	gauge   *Gauge
-	fgauge  *FloatGauge
-	hist    *Histogram
+	// Exactly one of the following is populated.
+	gauge *Gauge
 
 	labels []string // label keys of the vecs below
 	cvec   *CounterVec
@@ -278,33 +233,11 @@ func (r *Registry) add(m *metric) {
 	r.families = append(r.families, m)
 }
 
-// Counter registers and returns an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.add(&metric{name: name, help: help, typ: "counter", counter: c})
-	return c
-}
-
 // Gauge registers and returns an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{}
 	r.add(&metric{name: name, help: help, typ: "gauge", gauge: g})
 	return g
-}
-
-// FloatGauge registers and returns an unlabeled float-valued gauge.
-func (r *Registry) FloatGauge(name, help string) *FloatGauge {
-	g := &FloatGauge{}
-	r.add(&metric{name: name, help: help, typ: "gauge", fgauge: g})
-	return g
-}
-
-// Histogram registers and returns an unlabeled histogram (nil bounds
-// selects DefBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := NewHistogram(bounds)
-	r.add(&metric{name: name, help: help, typ: "histogram", hist: h})
-	return h
 }
 
 // CounterVec registers a counter family fanned out over the given label
@@ -439,14 +372,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP %s %s\n", m.name, m.help)
 		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, m.typ)
 		switch {
-		case m.counter != nil:
-			fmt.Fprintf(&b, "%s %d\n", m.name, m.counter.Value())
 		case m.gauge != nil:
 			fmt.Fprintf(&b, "%s %d\n", m.name, m.gauge.Value())
-		case m.fgauge != nil:
-			fmt.Fprintf(&b, "%s %g\n", m.name, m.fgauge.Value())
-		case m.hist != nil:
-			writeHistogram(&b, m.name, "", m.hist)
 		case m.cvec != nil:
 			m.cvec.mu.RLock()
 			for _, k := range sortedKeys(m.cvec.series) {

@@ -29,11 +29,8 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketsAndQuantile(t *testing.T) {
+func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
 	for _, v := range []float64{0.5, 0.5, 1.5, 3, 100} {
 		h.Observe(v)
 	}
@@ -43,52 +40,13 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-105.5) > 1e-9 {
 		t.Fatalf("sum = %v, want 105.5", got)
 	}
-	// Bucket layout: (-inf,1]=2, (1,2]=1, (2,4]=1, +Inf=1.
-	if q := h.Quantile(0.2); q <= 0 || q > 1 {
-		t.Fatalf("p20 = %v, want inside (0,1]", q)
-	}
-	if q := h.Quantile(0.6); q <= 1 || q > 2 {
-		t.Fatalf("p60 = %v, want inside (1,2]", q)
-	}
-	if q := h.Quantile(0.7); q <= 2 || q > 4 {
-		t.Fatalf("p70 = %v, want inside (2,4]", q)
-	}
-	// Observations beyond the last bound saturate the histogram: the
-	// quantile must say so, not under-report by clamping to the bound.
-	if q := h.Quantile(1); !math.IsInf(q, 1) {
-		t.Fatalf("p100 = %v, want +Inf (rank in the overflow bucket)", q)
-	}
-	// Quantiles whose rank stays inside the finite buckets are unaffected
-	// by overflow observations.
-	if q := h.Quantile(0.8); q <= 2 || q > 4 {
-		t.Fatalf("p80 = %v, want inside (2,4]", q)
-	}
-}
-
-// TestHistogramQuantileSaturation pins the under-reporting fix in the
-// /metrics-derived latency view: once enough observations land past the
-// last finite bound, a p99 request must flag saturation with +Inf rather
-// than silently answering the 10s bucket edge.
-func TestHistogramQuantileSaturation(t *testing.T) {
-	h := NewHistogram(DefBuckets)
-	// 95 fast requests, 5 multi-minute stalls: p99 is in the overflow.
-	for i := 0; i < 95; i++ {
-		h.Observe(0.002)
-	}
-	for i := 0; i < 5; i++ {
-		h.Observe(120)
-	}
-	if q := h.Quantile(0.99); !math.IsInf(q, 1) {
-		t.Fatalf("saturated p99 = %v, want +Inf", q)
-	}
-	if q := h.Quantile(0.50); q >= 0.0025 {
-		t.Fatalf("p50 = %v, want inside the fast buckets", q)
-	}
-	// All observations in the overflow bucket: every quantile saturates.
-	h2 := NewHistogram([]float64{1})
-	h2.Observe(5)
-	if q := h2.Quantile(0.5); !math.IsInf(q, 1) {
-		t.Fatalf("all-overflow p50 = %v, want +Inf", q)
+	// Bucket layout: (-inf,1]=2, (1,2]=1, (2,4]=1, +Inf=1. An observation
+	// on a bound belongs to that bound's bucket.
+	h.Observe(2)
+	for i, want := range []uint64{2, 2, 1, 1} {
+		if got := h.counts[i].Load(); got != want {
+			t.Fatalf("bucket %d = %d, want %d", i, got, want)
+		}
 	}
 }
 
@@ -103,7 +61,7 @@ func TestHistogramPanicsOnBadBounds(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "x")
+	r.CounterVec("x_total", "x", "model")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate metric name must panic")
@@ -125,13 +83,12 @@ func TestVecLabelWidthPanics(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("reqs_total", "requests")
 	g := r.Gauge("in_flight", "in-flight")
-	h := r.Histogram("latency_seconds", "latency", []float64{0.1, 1})
+	// A vector without label keys renders like a plain histogram.
+	h := r.HistogramVec("latency_seconds", "latency", []float64{0.1, 1}).With()
 	cv := r.CounterVec("model_reqs_total", "per model", "model", "endpoint")
 	hv := r.HistogramVec("model_latency_seconds", "per model latency", []float64{1}, "model")
 
-	c.Add(3)
 	g.Set(2)
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -147,9 +104,7 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# HELP reqs_total requests",
-		"# TYPE reqs_total counter",
-		"reqs_total 3",
+		"# HELP in_flight in-flight",
 		"# TYPE in_flight gauge",
 		"in_flight 2",
 		"# TYPE latency_seconds histogram",
@@ -158,6 +113,7 @@ func TestWritePrometheus(t *testing.T) {
 		`latency_seconds_bucket{le="+Inf"} 3`,
 		"latency_seconds_sum 5.55",
 		"latency_seconds_count 3",
+		"# TYPE model_reqs_total counter",
 		`model_reqs_total{model="tree",endpoint="score"} 7`,
 		`model_reqs_total{model="bayes",endpoint="stream"} 1`,
 		`model_reqs_total{model="we\"ird\\mo\ndel",endpoint="score"} 1`,
@@ -204,9 +160,7 @@ func TestNULLabelValuesCannotForgeSeries(t *testing.T) {
 // while rendering — run under -race this pins the lock-cheap hot path.
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "c")
 	g := r.Gauge("g", "g")
-	h := r.Histogram("h_seconds", "h", nil)
 	cv := r.CounterVec("cv_total", "cv", "model")
 	hv := r.HistogramVec("hv_seconds", "hv", nil, "model")
 
@@ -218,12 +172,10 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for k := 0; k < iters; k++ {
-				c.Inc()
 				g.Inc()
 				g.Dec()
-				h.Observe(float64(k) / 1000)
 				cv.With(models[k%len(models)]).Inc()
-				hv.With(models[(i+k)%len(models)]).Observe(0.01)
+				hv.With(models[(i+k)%len(models)]).Observe(float64(k) / 1000)
 			}
 		}(i)
 	}
@@ -242,18 +194,16 @@ func TestConcurrentRecording(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != goroutines*iters {
-		t.Fatalf("counter = %d, want %d", c.Value(), goroutines*iters)
+	if g.Value() != 0 {
+		t.Fatalf("gauge = %d, want 0", g.Value())
 	}
-	if h.Count() != goroutines*iters {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), goroutines*iters)
-	}
-	total := uint64(0)
+	total, observed := uint64(0), uint64(0)
 	for _, m := range models {
 		total += cv.With(m).Value()
+		observed += hv.With(m).Count()
 	}
-	if total != goroutines*iters {
-		t.Fatalf("vec total = %d, want %d", total, goroutines*iters)
+	if total != goroutines*iters || observed != goroutines*iters {
+		t.Fatalf("counter total %d, histogram count %d, want %d each", total, observed, goroutines*iters)
 	}
 }
 
@@ -335,7 +285,7 @@ func TestHistogramConcurrentSum(t *testing.T) {
 // exactly representable in both schemes.
 func TestLatencyExpositionBytePinned(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("req_latency_seconds", "Request latency.", []float64{0.25, 0.5, 1})
+	h := r.HistogramVec("req_latency_seconds", "Request latency.", []float64{0.25, 0.5, 1}).With()
 	h.Observe(0.125)
 	h.Observe(0.5)
 	h.Observe(2)
@@ -367,8 +317,8 @@ func TestRolling(t *testing.T) {
 	r.Add(math.Inf(1))  // ignored
 	r.Add(math.Inf(-1)) // ignored
 	r.Add(3)
-	if r.Count() != 2 || r.Mean() != 2 {
-		t.Fatalf("count=%d mean=%v, want 2 and 2", r.Count(), r.Mean())
+	if len(r.samples) != 2 || r.Mean() != 2 {
+		t.Fatalf("count=%d mean=%v, want 2 and 2", len(r.samples), r.Mean())
 	}
 	r.Add(5)
 	r.Add(7) // window full: 1,3,5,7
@@ -376,8 +326,8 @@ func TestRolling(t *testing.T) {
 		t.Fatalf("full-window mean = %v, want 4", r.Mean())
 	}
 	r.Add(9) // evicts 1: 3,5,7,9
-	if r.Count() != 4 || r.Mean() != 6 {
-		t.Fatalf("post-eviction count=%d mean=%v, want 4 and 6", r.Count(), r.Mean())
+	if len(r.samples) != 4 || r.Mean() != 6 {
+		t.Fatalf("post-eviction count=%d mean=%v, want 4 and 6", len(r.samples), r.Mean())
 	}
 	if r.Total() != 5 {
 		t.Fatalf("total = %d, want 5", r.Total())
@@ -398,8 +348,8 @@ func TestRollingConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Count() != 64 || r.Mean() != 0.5 {
-		t.Fatalf("count=%d mean=%v, want 64 and 0.5", r.Count(), r.Mean())
+	if len(r.samples) != 64 || r.Mean() != 0.5 {
+		t.Fatalf("count=%d mean=%v, want 64 and 0.5", len(r.samples), r.Mean())
 	}
 	if r.Total() != 8*500 {
 		t.Fatalf("total = %d, want %d", r.Total(), 8*500)
@@ -416,13 +366,16 @@ func TestRollingPanicsOnBadSize(t *testing.T) {
 }
 
 func TestFloatGauge(t *testing.T) {
-	r := NewRegistry()
-	g := r.FloatGauge("drift_baseline", "Pinned baseline.")
-	v := r.FloatGaugeVec("online_brier_window", "Windowed Brier.", "model")
+	var g FloatGauge
 	if g.Value() != 0 {
 		t.Fatalf("zero-value float gauge = %v, want 0", g.Value())
 	}
 	g.Set(0.0625)
+	if g.Value() != 0.0625 {
+		t.Fatalf("float gauge = %v, want 0.0625", g.Value())
+	}
+	r := NewRegistry()
+	v := r.FloatGaugeVec("online_brier_window", "Windowed Brier.", "model")
 	v.With("tree").Set(0.25)
 	v.With("bayes").Set(0.125)
 	v.With("tree").Set(0.75) // same series, not a new one
@@ -433,8 +386,6 @@ func TestFloatGauge(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# TYPE drift_baseline gauge",
-		"drift_baseline 0.0625",
 		"# TYPE online_brier_window gauge",
 		`online_brier_window{model="bayes"} 0.125`,
 		`online_brier_window{model="tree"} 0.75`,

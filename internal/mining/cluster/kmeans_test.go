@@ -236,11 +236,84 @@ func TestErrors(t *testing.T) {
 	if _, err := Run(ds, cfg); err == nil {
 		t.Error("MaxIter=0 should error")
 	}
+	cfg = Config{K: 1, MaxIter: 10, Restarts: -1}
+	if _, err := Run(ds, cfg); err == nil {
+		t.Error("negative Restarts should error")
+	}
 	cfg = DefaultConfig()
 	cfg.K = 1
 	cfg.Exclude = []string{"ghost"}
 	if _, err := Run(ds, cfg); err == nil {
 		t.Error("unknown exclusion should error")
+	}
+}
+
+// TestDuplicatePoints clusters points that all coincide: k-means++ finds
+// no distance mass to weight by and picks uniformly, and the clusters that
+// attract no point are reseeded rather than divided by a zero count.
+func TestDuplicatePoints(t *testing.T) {
+	b := data.NewBuilder("dup").Interval("x").Interval("y")
+	for i := 0; i < 12; i++ {
+		b.Row(1, 2)
+	}
+	cfg := DefaultConfig()
+	cfg.K = 3
+	res, err := Run(b.Build(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Inertia != 0 || res.Sizes[0] != 12 || res.Sizes[1] != 0 || res.Sizes[2] != 0 {
+		t.Fatalf("inertia %v sizes %v, want 0 and [12 0 0]", res.Inertia, res.Sizes)
+	}
+	for c, cen := range res.Centroids {
+		for _, v := range cen {
+			if math.IsNaN(v) {
+				t.Fatalf("centroid %d = %v", c, cen)
+			}
+		}
+	}
+}
+
+// TestKMeansRestartSeedTable pins the restart path byte-for-byte: every
+// (Restarts, Workers) pair in the table reproduces the serial Workers=1
+// fit exactly, including Restarts=1 with Workers>1 — the single restart
+// must take the same engine path and the same seed as a serial run.
+func TestKMeansRestartSeedTable(t *testing.T) {
+	ds := blobs(120, [][2]float64{{0, 0}, {6, 0}, {0, 6}}, 13)
+	base := DefaultConfig()
+	base.K = 3
+	base.Exclude = []string{"label"}
+	for _, restarts := range []int{1, 2, 5} {
+		cfg := base
+		cfg.Restarts = restarts
+		cfg.Workers = 1
+		ref, err := Run(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 8} {
+			cfg.Workers = workers
+			got, err := Run(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Inertia != ref.Inertia || got.Iterations != ref.Iterations {
+				t.Fatalf("restarts=%d workers=%d: inertia/iterations %v/%d vs %v/%d",
+					restarts, workers, got.Inertia, got.Iterations, ref.Inertia, ref.Iterations)
+			}
+			for i := range ref.Assignment {
+				if got.Assignment[i] != ref.Assignment[i] {
+					t.Fatalf("restarts=%d workers=%d: assignment differs at %d", restarts, workers, i)
+				}
+			}
+			for c := range ref.Centroids {
+				for j := range ref.Centroids[c] {
+					if got.Centroids[c][j] != ref.Centroids[c][j] {
+						t.Fatalf("restarts=%d workers=%d: centroid %d drifts", restarts, workers, c)
+					}
+				}
+			}
+		}
 	}
 }
 

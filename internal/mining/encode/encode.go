@@ -104,9 +104,6 @@ func Fit(ds *data.Dataset, opt Options) (*Encoder, error) {
 // Width returns the encoded feature count.
 func (e *Encoder) Width() int { return e.width }
 
-// FeatureNames returns the output feature names, aligned with Transform.
-func (e *Encoder) FeatureNames() []string { return e.colNames }
-
 // Transform encodes one raw dataset row (full schema order) into dst,
 // allocating when dst is too small.
 func (e *Encoder) Transform(row []float64, dst []float64) []float64 {

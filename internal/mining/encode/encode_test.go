@@ -30,7 +30,7 @@ func TestFitWidthAndNames(t *testing.T) {
 	if e.Width() != 6 {
 		t.Fatalf("width = %d, want 6", e.Width())
 	}
-	names := e.FeatureNames()
+	names := e.colNames
 	if names[0] != "(bias)" || names[2] != "s=a" || names[5] != "flag" {
 		t.Fatalf("names = %v", names)
 	}

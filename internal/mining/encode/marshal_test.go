@@ -28,7 +28,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if back.Width() != e.Width() {
 		t.Fatalf("width %d -> %d", e.Width(), back.Width())
 	}
-	names, backNames := e.FeatureNames(), back.FeatureNames()
+	names, backNames := e.colNames, back.colNames
 	for i := range names {
 		if names[i] != backNames[i] {
 			t.Fatalf("feature %d name %q -> %q", i, names[i], backNames[i])

@@ -35,16 +35,6 @@ type Model struct {
 	iters   int
 }
 
-// Iterations reports how many IRLS steps training used.
-func (m *Model) Iterations() int { return m.iters }
-
-// Weights returns the fitted coefficients (aligned with the encoder's
-// FeatureNames). The caller must not modify the slice.
-func (m *Model) Weights() []float64 { return m.weights }
-
-// FeatureNames returns design column names aligned with Weights.
-func (m *Model) FeatureNames() []string { return m.enc.FeatureNames() }
-
 // Train fits the model on a binary target column.
 func Train(ds *data.Dataset, target int, cfg Config) (*Model, error) {
 	if target < 0 || target >= ds.NumAttrs() {

@@ -1,6 +1,7 @@
 package logit
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -31,12 +32,12 @@ func TestRecoverLogisticRelation(t *testing.T) {
 	}
 	// Inputs are ~standardized already, so fitted weights should be near
 	// the generating ones (bias, 2, -1).
-	w := m.Weights()
+	w := m.weights
 	if math.Abs(w[1]-2) > 0.25 || math.Abs(w[2]+1) > 0.25 {
 		t.Fatalf("weights = %v, want ≈ [_, 2, -1]", w)
 	}
-	if m.Iterations() == 0 || m.Iterations() > 50 {
-		t.Fatalf("iterations = %d", m.Iterations())
+	if m.iters == 0 || m.iters > 50 {
+		t.Fatalf("iterations = %d", m.iters)
 	}
 }
 
@@ -125,14 +126,11 @@ func TestExcludeOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := m.FeatureNames()
-	for _, n := range names {
-		if n == "x2" {
-			t.Fatal("x2 should be excluded")
-		}
+	if w := m.enc.Width(); w != 2 { // bias + x1
+		t.Fatalf("design width = %d, want 2", w)
 	}
-	if len(names) != 2 { // bias + x1
-		t.Fatalf("names = %v", names)
+	if m.PredictProb([]float64{0.5, -3, 0}) != m.PredictProb([]float64{0.5, 3, 0}) {
+		t.Fatal("x2 should be excluded")
 	}
 }
 
@@ -165,9 +163,59 @@ func TestDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, w := range m1.Weights() {
-		if w != m2.Weights()[i] {
+	for i, w := range m1.weights {
+		if w != m2.weights[i] {
 			t.Fatal("training is not deterministic")
+		}
+	}
+}
+
+// TestMarshalRoundTrip pins the artifact payload: a decoded model scores
+// bit-identically, and a payload without an encoder, with a weight count
+// that disagrees with the design, or that is not JSON is rejected.
+func TestMarshalRoundTrip(t *testing.T) {
+	ds := logisticDataset(400, 7)
+	m, err := Train(ds, 2, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Model
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.iters != m.iters {
+		t.Fatalf("iterations %d -> %d", m.iters, back.iters)
+	}
+	for _, row := range [][]float64{{0, 0, 0}, {1.5, -2, 1}, {data.Missing, 0.3, 0}, {-1, data.Missing, 1}} {
+		if got, want := back.PredictProb(row), m.PredictProb(row); got != want {
+			t.Fatalf("row %v: decoded %v, trained %v", row, got, want)
+		}
+	}
+	if err := back.Validate(ds.NumAttrs()); err != nil {
+		t.Fatalf("decoded model fails its own schema: %v", err)
+	}
+	if _, err := json.Marshal(&Model{}); err == nil {
+		t.Error("unfitted model marshaled")
+	}
+	var p map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &p); err != nil {
+		t.Fatal(err)
+	}
+	short, err := json.Marshal(map[string]json.RawMessage{"encoder": p["encoder"], "weights": json.RawMessage("[1]")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string]string{
+		"not JSON":        "{",
+		"no encoder":      `{"weights":[1,2]}`,
+		"too few weights": string(short),
+	} {
+		if err := json.Unmarshal([]byte(payload), &back); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

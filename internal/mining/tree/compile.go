@@ -75,9 +75,6 @@ func flatten(nodes []flatNode, n *node, leafVal func(*node) float64) ([]flatNode
 	return nodes, slot
 }
 
-// Width returns the full-schema row width the compiled tree consumes.
-func (c *Compiled) Width() int { return c.width }
-
 // goesLeftFlat mirrors goesLeft on the flat encoding.
 func goesLeftFlat(n *flatNode, v float64) bool {
 	if data.IsMissing(v) {
@@ -182,24 +179,6 @@ func (li *LeafIndex) LeafID(row []float64) int {
 			i = n.left
 		} else {
 			i = n.right
-		}
-	}
-}
-
-// LeafIDAt routes row i of a columnar block (schema-ordered columns, one
-// slice per attribute) without materializing the row.
-func (li *LeafIndex) LeafIDAt(cols [][]float64, i int) int {
-	nodes := li.nodes
-	s := int32(0)
-	for {
-		n := &nodes[s]
-		if n.attr < 0 {
-			return int(n.cut)
-		}
-		if goesLeftFlat(n, cols[n.attr][i]) {
-			s = n.left
-		} else {
-			s = n.right
 		}
 	}
 }

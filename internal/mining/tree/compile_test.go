@@ -79,8 +79,8 @@ func TestCompileBitIdentical(t *testing.T) {
 	}
 	for name, tr := range grown {
 		c := tr.Compile()
-		if c.Width() != ds.NumAttrs() {
-			t.Fatalf("%s: compiled width %d, want %d", name, c.Width(), ds.NumAttrs())
+		if c.width != ds.NumAttrs() {
+			t.Fatalf("%s: compiled width %d, want %d", name, c.width, ds.NumAttrs())
 		}
 		out := make([]float64, len(probes))
 		c.ScoreColumns(cols, out)
@@ -121,21 +121,10 @@ func TestLeafIndexMatchesInterpretedRouting(t *testing.T) {
 	if want := tr.Leaves() - 1; li.MaxLeafID() != want {
 		t.Fatalf("MaxLeafID = %d, want %d (ids are dense 0..Leaves()-1)", li.MaxLeafID(), want)
 	}
-	probes := compileProbes()
-	cols := make([][]float64, len(probes[0]))
-	for j := range cols {
-		cols[j] = make([]float64, len(probes))
-		for i, row := range probes {
-			cols[j][i] = row[j]
-		}
-	}
-	for i, row := range probes {
+	for i, row := range compileProbes() {
 		want := tr.LeafID(row)
 		if got := li.LeafID(row); got != want {
 			t.Errorf("probe %d: flat leaf id %d, interpreted %d", i, got, want)
-		}
-		if got := li.LeafIDAt(cols, i); got != want {
-			t.Errorf("probe %d: columnar leaf id %d, interpreted %d", i, got, want)
 		}
 		if want < 0 || want >= tr.Leaves() {
 			t.Errorf("probe %d: leaf id %d outside [0, %d)", i, want, tr.Leaves())

@@ -61,9 +61,6 @@ type classifierJSON struct {
 // P(count > t) at.
 func (c ThresholdClassifier) Threshold() int { return c.t }
 
-// CountModel returns the underlying hurdle count model.
-func (c ThresholdClassifier) CountModel() *Model { return c.m }
-
 // Validate checks the underlying count model against a row schema of
 // nAttrs columns.
 func (c ThresholdClassifier) Validate(nAttrs int) error {

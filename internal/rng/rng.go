@@ -165,14 +165,6 @@ func (r *Source) TruncNormal(mu, sigma, lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Exp returns an exponential deviate with rate lambda > 0.
-func (r *Source) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("rng: Exp with non-positive rate")
-	}
-	return -math.Log(1-r.Float64()) / lambda
-}
-
 // Gamma returns a gamma deviate with the given shape and scale, using
 // Marsaglia & Tsang's method (with the shape<1 boost).
 func (r *Source) Gamma(shape, scale float64) float64 {

@@ -154,18 +154,6 @@ func TestTruncNormalZeroSigma(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(23)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exp(2)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("Exp(2) mean = %v, want ~0.5", mean)
-	}
-}
-
 func TestGammaMoments(t *testing.T) {
 	r := New(29)
 	for _, tc := range []struct{ shape, scale float64 }{{0.5, 1}, {2, 3}, {9, 0.5}} {

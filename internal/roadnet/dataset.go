@@ -340,12 +340,6 @@ func sampleDown(r *rng.Source, d *data.Dataset, n int) *data.Dataset {
 	return d.Subset(d.Name(), idx)
 }
 
-// CombinedDataset concatenates crash and no-crash instances into the
-// paper's phase 1 "more-inclusive crash/no crash dataset".
-func (st *Study) CombinedDataset() (*data.Dataset, error) {
-	return st.Crash.Concat("crash+no-crash", st.NoCrash)
-}
-
 // AnnualCountHistogram returns, for each observation year, a histogram of
 // per-segment annual crash counts across F60-surveyed crash segments:
 // hist[year][k] = number of segments recording exactly k crashes in that

@@ -99,7 +99,7 @@ func TestNoCrashInstancesConsistent(t *testing.T) {
 
 func TestSchemasMatchAndCombine(t *testing.T) {
 	st := defaultStudy(t)
-	combined, err := st.CombinedDataset()
+	combined, err := st.Crash.Concat("crash+no-crash", st.NoCrash)
 	if err != nil {
 		t.Fatal(err)
 	}

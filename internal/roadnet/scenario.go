@@ -178,9 +178,6 @@ func NewScenarioStream(opt ScenarioOptions) (*ScenarioStream, error) {
 // Attrs returns the study row schema the stream emits.
 func (s *ScenarioStream) Attrs() []data.Attribute { return s.attrs }
 
-// Rows returns the total row count the stream will emit.
-func (s *ScenarioStream) Rows() int { return s.opt.Rows }
-
 // Next fills the stream's batch with up to its chunk size of rows.
 func (s *ScenarioStream) Next() (*data.Batch, error) {
 	if s.emitted >= s.opt.Rows {

@@ -315,9 +315,6 @@ func (rt *Router) Close() {
 // ServeHTTP dispatches to the router's endpoints.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { rt.mux.ServeHTTP(w, req) }
 
-// Metrics returns the router's metric registry (the /metrics content).
-func (rt *Router) Metrics() *metrics.Registry { return rt.metrics }
-
 // Health reports every replica's routing state, sorted by configuration
 // order.
 func (rt *Router) Health() []ReplicaHealth {

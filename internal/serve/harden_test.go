@@ -70,9 +70,9 @@ func labelV2(aadt, surface float64) bool { return aadt < 2000 }
 func waitInFlight(t *testing.T, s *Server, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.InFlight() < n {
+	for s.inFlight.Value() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("in-flight never reached %d (at %d)", n, s.InFlight())
+			t.Fatalf("in-flight never reached %d (at %d)", n, s.inFlight.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -83,9 +83,9 @@ func waitInFlight(t *testing.T, s *Server, n int64) {
 func waitDrained(t *testing.T, s *Server, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
-	for s.InFlight() > 0 {
+	for s.inFlight.Value() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d requests still in flight after %v", s.InFlight(), within)
+			t.Fatalf("%d requests still in flight after %v", s.inFlight.Value(), within)
 		}
 		time.Sleep(time.Millisecond)
 	}

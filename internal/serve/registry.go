@@ -250,18 +250,6 @@ func (r *Registry) Get(name string) (*Model, bool) {
 	return m, ok
 }
 
-// Names lists registered model names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.models))
-	for n := range r.models {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Models returns the registered models sorted by name — one consistent
 // snapshot of the table, so a caller iterating it cannot observe a
 // half-applied rollover between lookups.

@@ -278,7 +278,7 @@ func TestRegistryRollover(t *testing.T) {
 					return
 				}
 				m.Scorer.PredictProb([]float64{1000, 0, data.Missing})
-				reg.Names()
+				reg.Models()
 			}
 		}()
 	}

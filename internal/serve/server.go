@@ -336,9 +336,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) { s.mux.Ser
 // Metrics returns the server's metric registry (the /metrics content).
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
-// InFlight returns the number of scoring requests currently admitted.
-func (s *Server) InFlight() int64 { return s.inFlight.Value() }
-
 // statusWriter records the status code a handler sent, so the admission
 // wrapper can label its request counter. Unwrap keeps
 // http.ResponseController working through the wrapper (flushes and

@@ -36,21 +36,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// SumSquares returns the total sum of squared deviations from the mean,
-// SS(total) in the paper's R² definition.
-func SumSquares(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss
-}
-
 // MinMax returns the extrema of xs. It returns NaNs for an empty slice.
 func MinMax(xs []float64) (lo, hi float64) {
 	if len(xs) == 0 {
@@ -91,18 +76,6 @@ func Skewness(xs []float64) float64 {
 	return g1 * math.Sqrt(n*(n-1)) / (n - 2)
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7, the Minitab/R default).
-// xs need not be sorted. It returns NaN for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -140,36 +113,6 @@ func Summary(xs []float64) FiveNum {
 		Q3:     quantileSorted(sorted, 0.75),
 		Max:    sorted[len(sorted)-1],
 	}
-}
-
-// IQR returns the inter-quartile range Q3 - Q1.
-func (f FiveNum) IQR() float64 { return f.Q3 - f.Q1 }
-
-// Histogram bins xs into nBins equal-width bins over [lo, hi]. Values
-// outside the range are clamped into the edge bins. Counts has length nBins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a histogram. It panics if nBins <= 0 or hi <= lo.
-func NewHistogram(xs []float64, nBins int, lo, hi float64) Histogram {
-	if nBins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	h := Histogram{Lo: lo, Hi: hi, Counts: make([]int, nBins)}
-	w := (hi - lo) / float64(nBins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nBins {
-			i = nBins - 1
-		}
-		h.Counts[i]++
-	}
-	return h
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.

@@ -2,76 +2,6 @@ package stats
 
 import "math"
 
-// NormalCDF returns P(X <= x) for X ~ N(mu, sigma²).
-func NormalCDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		if x < mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
-}
-
-// NormalPDF returns the density of N(mu, sigma²) at x.
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return math.NaN()
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
-// NormalQuantile returns the inverse CDF of the standard normal at p in
-// (0, 1), using Acklam's rational approximation refined by one Halley step.
-func NormalQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	// Acklam's coefficients.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02, 6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00, -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00, 3.754408661907416e+00}
-	const plow = 0.02425
-	var x float64
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-plow:
-		q := p - 0.5
-		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-	// One Halley refinement.
-	e := NormalCDF(x, 0, 1) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
-	return x
-}
-
-// ChiSquareCDF returns P(X <= x) for a chi-square variable with df degrees
-// of freedom.
-func ChiSquareCDF(x float64, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	if x <= 0 {
-		return 0
-	}
-	return GammaP(df/2, x/2)
-}
-
 // ChiSquareSF returns the survival function P(X > x), the p-value of a
 // chi-square statistic.
 func ChiSquareSF(x float64, df float64) float64 {
@@ -84,18 +14,6 @@ func ChiSquareSF(x float64, df float64) float64 {
 	return GammaQ(df/2, x/2)
 }
 
-// FCDF returns P(X <= x) for an F-distributed variable with (df1, df2)
-// degrees of freedom.
-func FCDF(x, df1, df2 float64) float64 {
-	if df1 <= 0 || df2 <= 0 {
-		return math.NaN()
-	}
-	if x <= 0 {
-		return 0
-	}
-	return BetaInc(df1/2, df2/2, df1*x/(df1*x+df2))
-}
-
 // FSF returns the survival function P(X > x) of the F distribution, the
 // p-value of an F statistic.
 func FSF(x, df1, df2 float64) float64 {
@@ -106,59 +24,4 @@ func FSF(x, df1, df2 float64) float64 {
 		return 1
 	}
 	return BetaInc(df2/2, df1/2, df2/(df1*x+df2))
-}
-
-// StudentTCDF returns P(X <= x) for Student's t with df degrees of freedom.
-func StudentTCDF(x, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0.5
-	}
-	p := 0.5 * BetaInc(df/2, 0.5, df/(df+x*x))
-	if x > 0 {
-		return 1 - p
-	}
-	return p
-}
-
-// StudentTSF returns the two-sided p-value for a t statistic.
-func StudentTSF2(x, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	return BetaInc(df/2, 0.5, df/(df+x*x))
-}
-
-// PoissonPMF returns P(X = k) for a Poisson variable with mean lambda.
-func PoissonPMF(k int, lambda float64) float64 {
-	if k < 0 || lambda < 0 {
-		return 0
-	}
-	if lambda == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	return math.Exp(float64(k)*math.Log(lambda) - lambda - GammaLn(float64(k)+1))
-}
-
-// NegBinomialPMF returns P(X = k) for a negative binomial with mean mu and
-// dispersion size (variance mu + mu²/size).
-func NegBinomialPMF(k int, mu, size float64) float64 {
-	if k < 0 || mu < 0 || size <= 0 {
-		return 0
-	}
-	if mu == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	kf := float64(k)
-	p := size / (size + mu)
-	return math.Exp(GammaLn(kf+size) - GammaLn(size) - GammaLn(kf+1) +
-		size*math.Log(p) + kf*math.Log(1-p))
 }

@@ -8,13 +8,7 @@
 // has no external dependencies.
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrDomain reports an argument outside a function's domain.
-var ErrDomain = errors.New("stats: argument out of domain")
+import "math"
 
 const (
 	maxIter = 500
@@ -166,6 +160,3 @@ func betaCF(a, b, x float64) float64 {
 	}
 	return h
 }
-
-// Erf returns the error function, wrapping math.Erf for locality.
-func Erf(x float64) float64 { return math.Erf(x) }

@@ -142,43 +142,3 @@ func OneWayANOVA(groups [][]float64) (AnovaResult, error) {
 	}
 	return res, nil
 }
-
-// FTestVarianceReduction computes the F statistic the regression tree uses
-// to score a binary split of an interval target: the ratio of the explained
-// mean square to the residual mean square. left and right are the target
-// values in each branch. It returns the statistic, its degrees of freedom
-// and the p-value; an error when a side is empty or there is no residual
-// degree of freedom.
-func FTestVarianceReduction(left, right []float64) (stat, df1, df2, p float64, err error) {
-	n := len(left) + len(right)
-	if len(left) == 0 || len(right) == 0 {
-		return 0, 0, 0, 1, fmt.Errorf("stats: F-test with empty branch")
-	}
-	if n < 3 {
-		return 0, 0, 0, 1, fmt.Errorf("stats: F-test with too few observations")
-	}
-	all := make([]float64, 0, n)
-	all = append(all, left...)
-	all = append(all, right...)
-	grand := Mean(all)
-	ml, mr := Mean(left), Mean(right)
-	ssBetween := float64(len(left))*(ml-grand)*(ml-grand) + float64(len(right))*(mr-grand)*(mr-grand)
-	ssWithin := 0.0
-	for _, x := range left {
-		d := x - ml
-		ssWithin += d * d
-	}
-	for _, x := range right {
-		d := x - mr
-		ssWithin += d * d
-	}
-	df1, df2 = 1, float64(n-2)
-	if ssWithin == 0 {
-		if ssBetween == 0 {
-			return 0, df1, df2, 1, nil
-		}
-		return math.Inf(1), df1, df2, 0, nil
-	}
-	stat = (ssBetween / df1) / (ssWithin / df2)
-	return stat, df1, df2, FSF(stat, df1, df2), nil
-}

@@ -119,60 +119,3 @@ func TestOneWayANOVAErrors(t *testing.T) {
 		t.Error("nil groups should error")
 	}
 }
-
-func TestFTestVarianceReduction(t *testing.T) {
-	// Well-separated branches: huge F, tiny p.
-	stat, df1, df2, p, err := FTestVarianceReduction(
-		[]float64{1, 1.1, 0.9, 1.05}, []float64{9, 9.1, 8.9, 9.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if df1 != 1 || df2 != 6 {
-		t.Errorf("df = (%v,%v)", df1, df2)
-	}
-	if stat < 100 {
-		t.Errorf("F = %v, want large", stat)
-	}
-	if p > 1e-6 {
-		t.Errorf("p = %v, want tiny", p)
-	}
-}
-
-func TestFTestNoSeparation(t *testing.T) {
-	stat, _, _, p, err := FTestVarianceReduction(
-		[]float64{1, 2, 3}, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "F", stat, 0, 1e-12)
-	approx(t, "p", p, 1, 1e-12)
-}
-
-func TestFTestConstantTarget(t *testing.T) {
-	stat, _, _, p, err := FTestVarianceReduction([]float64{2, 2}, []float64{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stat != 0 || p != 1 {
-		t.Errorf("constant target: F=%v p=%v", stat, p)
-	}
-}
-
-func TestFTestPureSplit(t *testing.T) {
-	stat, _, _, p, err := FTestVarianceReduction([]float64{1, 1}, []float64{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(stat, 1) || p != 0 {
-		t.Errorf("pure split: F=%v p=%v", stat, p)
-	}
-}
-
-func TestFTestErrors(t *testing.T) {
-	if _, _, _, _, err := FTestVarianceReduction(nil, []float64{1}); err == nil {
-		t.Error("empty branch should error")
-	}
-	if _, _, _, _, err := FTestVarianceReduction([]float64{1}, []float64{2}); err == nil {
-		t.Error("n<3 should error")
-	}
-}
