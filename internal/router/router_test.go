@@ -97,6 +97,13 @@ func fakeReplica(t *testing.T, score http.HandlerFunc) *httptest.Server {
 // defaults for any unset retry knobs.
 func newTestRouter(t testing.TB, cfg Config) (*Router, *httptest.Server) {
 	t.Helper()
+	return serveTestRouter(t, httptest.NewUnstartedServer(nil), cfg)
+}
+
+// serveTestRouter is newTestRouter on an unstarted server, whose
+// listener is already bound when the router is built.
+func serveTestRouter(t testing.TB, srv *httptest.Server, cfg Config) (*Router, *httptest.Server) {
+	t.Helper()
 	if cfg.RetryBaseDelay == 0 {
 		cfg.RetryBaseDelay = time.Millisecond
 	}
@@ -105,11 +112,13 @@ func newTestRouter(t testing.TB, cfg Config) (*Router, *httptest.Server) {
 	}
 	rt, err := New(cfg)
 	if err != nil {
+		srv.Close()
 		t.Fatal(err)
 	}
 	rt.Start()
 	t.Cleanup(rt.Close)
-	srv := httptest.NewServer(rt)
+	srv.Config.Handler = rt
+	srv.Start()
 	t.Cleanup(srv.Close)
 	return rt, srv
 }
@@ -288,11 +297,14 @@ func TestRouterRetries429(t *testing.T) {
 func TestRouterReplicaDownAtStartup(t *testing.T) {
 	dir := t.TempDir()
 	dt := trainModel(t, dir, "cp-8-tree", labelV1)
+	// The dead replica's port is freed only once every other listener of
+	// the test is bound, so the kernel cannot hand it to the live replica
+	// or to the router.
 	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close() // address now refuses connections
 	real := startReplica(t, dir, serve.Config{})
-	rt, srv := newTestRouter(t, Config{Replicas: []string{deadURL, real.URL}})
+	front := httptest.NewUnstartedServer(nil)
+	dead.Close() // address now refuses connections
+	rt, srv := serveTestRouter(t, front, Config{Replicas: []string{dead.URL, real.URL}})
 
 	want := probePrediction(dt)
 	for i := 0; i < 4; i++ {

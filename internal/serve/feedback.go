@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"net/http"
 	"sort"
 	"sync"
@@ -71,20 +73,35 @@ type PromoteResponse struct {
 	Models   []string `json:"models"`
 }
 
-// scoreEntry is one served score awaiting its label. next chains the
-// entries of one segment id, one per model version that scored it, newest
-// first; -1 ends the chain.
+// scoreEntry is one served score awaiting its label: 24 bytes with no
+// pointer, so the ring is one flat allocation the garbage collector never
+// scans. next chains the entries of one segment id, one per model version
+// that scored it, newest first; -1 ends the chain. tag packs the index of
+// the scoring version in the model's version table with the entry's
+// matched and valid flags.
 type scoreEntry struct {
-	id      int64
-	version string
-	risk    float64
-	next    int32
-	matched bool
-	valid   bool
+	id   int64
+	risk float64
+	next int32
+	tag  uint32
 }
 
-// versionStats is the online quality record of one model version.
+const (
+	entryValid   uint32 = 1 << 31
+	entryMatched uint32 = 1 << 30
+	entryVersion        = entryMatched - 1 // mask of the version index
+)
+
+func (e *scoreEntry) valid() bool    { return e.tag&entryValid != 0 }
+func (e *scoreEntry) matched() bool  { return e.tag&entryMatched != 0 }
+func (e *scoreEntry) version() int32 { return int32(e.tag & entryVersion) }
+
+// versionStats is one row of a model's version table: a version that has
+// scored a row into the join window, and its online quality record. The
+// rolling windows stay nil until a label first matches one of the
+// version's scores, and until then the version has no stats.
 type versionStats struct {
+	version  string
 	brier    *metrics.Rolling
 	logloss  *metrics.Rolling
 	baseline float64
@@ -93,19 +110,24 @@ type versionStats struct {
 
 // modelFeedback is one model's join window and drift state. The ring
 // holds the last FeedbackWindow served scores across all versions
-// (incumbent and shadow share it). The index maps a segment id to the
-// ring slot of its newest entry, whose next links lead to the id's
-// entries for other versions, so the whole index is one flat map sized to
-// the window. Matched entries stay until FIFO eviction so a second label
-// for the same scored row is reported as a duplicate, not silently
-// re-counted.
+// (incumbent and shadow share it). The index is an open-addressing table
+// from segment id to the ring slot of the id's newest entry, whose next
+// links lead to the id's entries for other versions; it holds slot+1, 0
+// meaning empty. Its length, the smallest power of two of at least twice
+// the window, keeps it at most half full, so it never grows. The ring
+// and the index are allocated by the model's first recorded row, so a
+// model that never scores a segment costs only this header. Matched
+// entries stay until FIFO eviction so a second label for the same scored
+// row is reported as a duplicate, not silently re-counted.
 type modelFeedback struct {
-	mu     sync.Mutex
-	ring   []scoreEntry
-	next   int
-	index  map[int64]int32 // segment id -> ring slot of its newest entry
-	stats  map[string]*versionStats
-	firing bool
+	mu       sync.Mutex
+	window   int
+	ring     []scoreEntry
+	next     int
+	index    []int32
+	seed     maphash.Seed
+	versions []versionStats
+	firing   bool
 }
 
 // feedbackState is the server's feedback subsystem: per-model join
@@ -136,11 +158,7 @@ func (f *feedbackState) forModel(name string) *modelFeedback {
 	defer f.mu.Unlock()
 	mf := f.models[name]
 	if mf == nil {
-		mf = &modelFeedback{
-			ring:  make([]scoreEntry, f.window),
-			index: make(map[int64]int32, f.window),
-			stats: make(map[string]*versionStats),
-		}
+		mf = &modelFeedback{window: f.window}
 		f.models[name] = mf
 	}
 	return mf
@@ -159,66 +177,136 @@ func (f *feedbackState) candidateFor(name, incumbentVersion string) *Model {
 	return c
 }
 
-// statsFor returns the version's stats record, creating it on first use.
-// Caller holds mf.mu.
-func (mf *modelFeedback) statsFor(version string, rolling int) *versionStats {
-	st := mf.stats[version]
-	if st == nil {
-		st = &versionStats{brier: metrics.NewRolling(rolling), logloss: metrics.NewRolling(rolling)}
-		mf.stats[version] = st
+// statsLocked returns the version's stats, or nil until a label has
+// matched one of its scores. Caller holds mf.mu.
+func (mf *modelFeedback) statsLocked(version string) *versionStats {
+	for i := range mf.versions {
+		if st := &mf.versions[i]; st.version == version && st.brier != nil {
+			return st
+		}
 	}
-	return st
+	return nil
+}
+
+// versionLocked returns version's index in the version table, adding the
+// version on its first scored row. Caller holds mf.mu.
+func (mf *modelFeedback) versionLocked(version string) int32 {
+	for i := range mf.versions {
+		if mf.versions[i].version == version {
+			return int32(i)
+		}
+	}
+	mf.versions = append(mf.versions, versionStats{version: version})
+	return int32(len(mf.versions) - 1)
+}
+
+// probeLocked returns the index position that holds id's chain head and
+// true, or, when the window holds no entry for id, the empty position
+// that ends id's probe run and false. The index is at most half full, so
+// every run ends. Caller holds mf.mu; the index exists.
+func (mf *modelFeedback) probeLocked(id int64) (int, bool) {
+	mask := len(mf.index) - 1
+	for p := mf.homeLocked(id); ; p = (p + 1) & mask {
+		s := mf.index[p]
+		if s == 0 {
+			return p, false
+		}
+		if mf.ring[s-1].id == id {
+			return p, true
+		}
+	}
+}
+
+// homeLocked is id's first probe position. The seed is random per window,
+// as in Go's maps, so no client can choose segment ids that share one
+// probe run. Caller holds mf.mu.
+func (mf *modelFeedback) homeLocked(id int64) int {
+	return int(maphash.Comparable(mf.seed, id) & uint64(len(mf.index)-1))
 }
 
 // headLocked returns the ring slot of id's newest entry, or -1 when the
 // window holds none. Caller holds mf.mu.
 func (mf *modelFeedback) headLocked(id int64) int32 {
-	if slot, ok := mf.index[id]; ok {
-		return slot
+	if mf.index == nil {
+		return -1
+	}
+	if p, ok := mf.probeLocked(id); ok {
+		return mf.index[p] - 1
 	}
 	return -1
 }
 
-// recordLocked files one served score into the join window, evicting the
-// oldest entry when full. Re-scoring a (segment, version) pair overwrites
-// in place — the latest served score is the one a label grades. Caller
-// holds mf.mu.
-func (mf *modelFeedback) recordLocked(id int64, version string, risk float64) {
-	for slot := mf.headLocked(id); slot >= 0; slot = mf.ring[slot].next {
-		if e := &mf.ring[slot]; e.version == version {
-			e.risk = risk
-			e.matched = false
-			return
+// recordLocked files one served score of version index v into the join
+// window, allocating the window on the model's first recorded row and
+// evicting the oldest entry when full. Re-scoring a (segment, version)
+// pair overwrites in place — the latest served score is the one a label
+// grades. Caller holds mf.mu.
+func (mf *modelFeedback) recordLocked(id int64, v int32, risk float64) {
+	if mf.ring == nil {
+		mf.ring = make([]scoreEntry, mf.window)
+		// The smallest power of two of at least twice the window.
+		mf.index = make([]int32, 1<<bits.Len(uint(2*mf.window-1)))
+		mf.seed = maphash.MakeSeed()
+	}
+	p, ok := mf.probeLocked(id)
+	if ok {
+		for slot := mf.index[p] - 1; slot >= 0; slot = mf.ring[slot].next {
+			if e := &mf.ring[slot]; e.version() == v {
+				e.risk = risk
+				e.tag &^= entryMatched
+				return
+			}
 		}
 	}
 	slot := int32(mf.next)
-	if mf.ring[slot].valid {
-		mf.unlinkLocked(slot)
+	if mf.ring[slot].valid() && mf.unlinkLocked(slot) {
+		p, ok = mf.probeLocked(id) // the deletion may have shifted id's run
 	}
-	mf.ring[slot] = scoreEntry{id: id, version: version, risk: risk, next: mf.headLocked(id), valid: true}
-	mf.index[id] = slot
+	head := int32(-1)
+	if ok {
+		head = mf.index[p] - 1
+	}
+	mf.ring[slot] = scoreEntry{id: id, risk: risk, next: head, tag: entryValid | uint32(v)}
+	mf.index[p] = slot + 1
 	mf.next = (mf.next + 1) % len(mf.ring)
 }
 
 // unlinkLocked removes the entry in ring slot from its segment's chain,
-// and the segment from the index when it was the last. Only eviction
-// unlinks, and the evicted entry is the oldest in the ring, so it is the
-// tail of its chain: chains are kept newest first and re-scoring moves
-// no entry. Caller holds mf.mu.
-func (mf *modelFeedback) unlinkLocked(slot int32) {
-	id := mf.ring[slot].id
-	p := mf.index[id]
-	if p == slot {
-		delete(mf.index, id)
-		return
+// and the segment from the index when it was the last, reporting whether
+// the index changed. Only eviction unlinks, and the evicted entry is the
+// oldest in the ring, so it is the tail of its chain: chains are kept
+// newest first and re-scoring moves no entry. Caller holds mf.mu.
+func (mf *modelFeedback) unlinkLocked(slot int32) bool {
+	p, _ := mf.probeLocked(mf.ring[slot].id)
+	q := mf.index[p] - 1
+	if q == slot {
+		mf.deleteLocked(p)
+		return true
 	}
-	for mf.ring[p].next != slot {
-		p = mf.ring[p].next
+	for mf.ring[q].next != slot {
+		q = mf.ring[q].next
 	}
-	mf.ring[p].next = -1
+	mf.ring[q].next = -1
+	return false
 }
 
-// Label-join outcomes: ingestLabel returns one as an index into
+// deleteLocked empties index position p by backward shift: each later
+// entry of the probe run whose home does not lie in the cyclic range
+// (hole, its position] moves back into the hole, so every id stays
+// reachable from its home without tombstones. Caller holds mf.mu.
+func (mf *modelFeedback) deleteLocked(p int) {
+	mask := len(mf.index) - 1
+	for q := (p + 1) & mask; mf.index[q] != 0; q = (q + 1) & mask {
+		home := mf.homeLocked(mf.ring[mf.index[q]-1].id)
+		if (q-home)&mask >= (q-p)&mask {
+			mf.index[p] = mf.index[q]
+			p = q
+		}
+	}
+	mf.index[p] = 0
+}
+
+// Label-join outcomes: gradeLocked returns one as an index into
 // outcomeNames, which holds the outcome label values of
 // crashprone_feedback_labels_total and the keys of a response's outcomes.
 const (
@@ -233,52 +321,46 @@ var outcomeNames = [...]string{
 	outcomeUnmatched: "unmatched",
 }
 
-// ingestLabel grades one label against the join window. For a match it
-// updates the rolling stats of every version whose served score for the
-// segment was still unlabelled and observes the per-label Brier and
-// log-loss contributions into the online histograms. An id with no window
-// entry at all is unmatched — the score aged out of the window (or was
-// never served here); an id whose entries were all labelled already is a
-// duplicate.
-func (s *Server) ingestLabel(name string, mf *modelFeedback, id int64, y float64, version string) int {
-	type sample struct {
-		version        string
-		brier, logloss float64
-	}
-	// One sample per version that scored the segment: the incumbent, a
-	// shadow candidate, and incumbents promoted away while their scores
-	// were in the window. Four fit every case but a chain of promotions.
-	var buf [4]sample
-	samples := buf[:0]
+// labelSample is one fresh match's contributions, kept for the online
+// histograms until the request's labels are all graded.
+type labelSample struct {
+	version        string
+	brier, logloss float64
+}
 
-	mf.mu.Lock()
+// gradeLocked grades one label against the join window. For a match it
+// updates the rolling stats of every version whose served score for the
+// segment was still unlabelled, and appends the per-label Brier and
+// log-loss contributions to samples for the online histograms. An id
+// with no window entry at all is unmatched — the score aged out of the
+// window (or was never served here); an id whose entries were all
+// labelled already is a duplicate. A non-empty version grades only that
+// version's score. Caller holds mf.mu.
+func (mf *modelFeedback) gradeLocked(id int64, y float64, version string, rolling int, samples *[]labelSample) int {
 	fresh, seen := 0, 0
 	for slot := mf.headLocked(id); slot >= 0; slot = mf.ring[slot].next {
 		e := &mf.ring[slot]
-		if version != "" && e.version != version {
+		st := &mf.versions[e.version()]
+		if version != "" && st.version != version {
 			continue
 		}
 		seen++
-		if e.matched {
+		if e.matched() {
 			continue
 		}
-		e.matched = true
+		e.tag |= entryMatched
 		fresh++
-		st := mf.statsFor(e.version, s.feedback.rolling)
-		// The per-label contributions come from the shared eval scoring
-		// functions so the offline hotspot evaluation and this online window
-		// grade predictions identically — the drift thresholds depend on it.
+		if st.brier == nil {
+			st.brier, st.logloss = metrics.NewRolling(rolling), metrics.NewRolling(rolling)
+		}
+		// Only this loop grades with eval's per-point Brier and log-loss;
+		// TestFeedbackScoringMatchesInlineFormulas pins their bits to the
+		// inline formulas the loop computed before.
 		brier := eval.BrierPoint(e.risk, y)
 		logloss := eval.LogLossPoint(e.risk, y)
 		st.brier.Add(brier)
 		st.logloss.Add(logloss)
-		samples = append(samples, sample{version: e.version, brier: brier, logloss: logloss})
-	}
-	mf.mu.Unlock()
-
-	for _, sm := range samples {
-		s.onlineBrier.With(name, sm.version).Observe(sm.brier)
-		s.onlineLogloss.With(name, sm.version).Observe(sm.logloss)
+		*samples = append(*samples, labelSample{version: st.version, brier: brier, logloss: logloss})
 	}
 	switch {
 	case fresh > 0:
@@ -308,7 +390,7 @@ type driftSnapshot struct {
 func (s *Server) evaluateDrift(name, version string) driftSnapshot {
 	mf := s.feedback.forModel(name)
 	mf.mu.Lock()
-	st := mf.stats[version]
+	st := mf.statsLocked(version)
 	if st == nil {
 		snap := driftSnapshot{version: version, window: math.NaN(), firing: mf.firing}
 		mf.mu.Unlock()
@@ -373,14 +455,18 @@ func (s *Server) observeScores(name string, m *Model, batch *data.Batch, scores 
 	ids := batch.Col(segCol)
 	mf := s.feedback.forModel(name)
 	mf.mu.Lock()
+	v, cv := mf.versionLocked(m.Version), int32(-1)
+	if candScores != nil {
+		cv = mf.versionLocked(cand.Version)
+	}
 	for i, risk := range scores {
 		if data.IsMissing(ids[i]) {
 			continue
 		}
 		id := int64(ids[i])
-		mf.recordLocked(id, m.Version, risk)
+		mf.recordLocked(id, v, risk)
 		if candScores != nil && artifact.IsFinite(candScores[i]) {
-			mf.recordLocked(id, cand.Version, candScores[i])
+			mf.recordLocked(id, cv, candScores[i])
 		}
 	}
 	mf.mu.Unlock()
@@ -413,22 +499,28 @@ func (m *Model) fbSchema() ([]data.Attribute, int) {
 }
 
 // feedbackBufs is the reusable storage of one /feedback request: the body
-// read buffer and the decoded label columns.
+// read buffer, the decoded label columns and the fresh matches'
+// contributions.
 type feedbackBufs struct {
-	body []byte
-	req  data.FeedbackRequest
+	body    []byte
+	req     data.FeedbackRequest
+	samples []labelSample
 }
 
 var feedbackBufPool = sync.Pool{New: func() any { return new(feedbackBufs) }}
 
 // putFeedbackBufs pools b unless a large request grew it: the label
-// columns (8 bytes a label each) get the byte buffers' 1 MiB cap.
+// columns (8 bytes a label each) and the samples (32 bytes each) get the
+// byte buffers' 1 MiB cap.
 func putFeedbackBufs(b *feedbackBufs) {
 	if cap(b.body) > maxPooledBuf {
 		b.body = nil
 	}
 	if 8*max(cap(b.req.IDs), cap(b.req.Labels)) > maxPooledBuf {
 		b.req.IDs, b.req.Labels = nil, nil
+	}
+	if 32*cap(b.samples) > maxPooledBuf {
+		b.samples = nil
 	}
 	feedbackBufPool.Put(b)
 }
@@ -438,8 +530,9 @@ func putFeedbackBufs(b *feedbackBufs) {
 // is read whole into a pooled buffer and decoded in one pass, here into
 // pooled label columns. The request is validated whole before any label
 // is applied, every label is graded matched/duplicate/unmatched against
-// the join window, the model's drift alarm is re-evaluated, and — with
-// AutoPromote on — the promotion gate runs.
+// the join window under one hold of the model's lock, the fresh matches
+// are observed into the online histograms, the model's drift alarm is
+// re-evaluated, and — with AutoPromote on — the promotion gate runs.
 func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 	bufs := feedbackBufPool.Get().(*feedbackBufs)
 	defer putFeedbackBufs(bufs)
@@ -458,9 +551,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 
 	mf := s.feedback.forModel(fr.Model)
 	var counts [len(outcomeNames)]int
+	bufs.samples = bufs.samples[:0]
+	mf.mu.Lock()
 	for i, id := range fr.IDs {
-		counts[s.ingestLabel(fr.Model, mf, int64(id), fr.Labels[i], fr.Version)]++
+		counts[mf.gradeLocked(int64(id), fr.Labels[i], fr.Version, s.feedback.rolling, &bufs.samples)]++
 	}
+	mf.mu.Unlock()
+	s.observeSamples(fr.Model, bufs.samples)
 	outcomes := make(map[string]int, len(counts))
 	for o, n := range counts {
 		if n > 0 {
@@ -476,6 +573,31 @@ func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// observeSamples feeds a request's fresh matches into the online
+// histograms in label order, looking each version's series up once.
+func (s *Server) observeSamples(name string, samples []labelSample) {
+	type series struct {
+		version        string
+		brier, logloss *metrics.Histogram
+	}
+	// One per version that scored a labelled segment: the incumbent, a
+	// shadow candidate, and incumbents promoted away while their scores
+	// were in the window. Four fit every case but a chain of promotions.
+	var buf [4]series
+	seen := buf[:0]
+	for _, sm := range samples {
+		i := 0
+		for i < len(seen) && seen[i].version != sm.version {
+			i++
+		}
+		if i == len(seen) {
+			seen = append(seen, series{sm.version, s.onlineBrier.With(name, sm.version), s.onlineLogloss.With(name, sm.version)})
+		}
+		seen[i].brier.Observe(sm.brier)
+		seen[i].logloss.Observe(sm.logloss)
+	}
 }
 
 // parseFeedback decodes a /feedback body into fr and validates it whole,
@@ -528,7 +650,7 @@ func (s *Server) knownVersion(name string, m *Model, version string) bool {
 	}
 	mf := s.feedback.forModel(name)
 	mf.mu.Lock()
-	_, ok := mf.stats[version]
+	ok := mf.statsLocked(version) != nil
 	mf.mu.Unlock()
 	return ok
 }
@@ -616,7 +738,7 @@ func (s *Server) versionBrier(name, version string) (float64, uint64) {
 	mf := s.feedback.forModel(name)
 	mf.mu.Lock()
 	defer mf.mu.Unlock()
-	st := mf.stats[version]
+	st := mf.statsLocked(version)
 	if st == nil {
 		return math.NaN(), 0
 	}
@@ -699,7 +821,7 @@ func (s *Server) tryPromote() (promoted, names []string, err error) {
 		cand := byName[name]
 		mf := s.feedback.forModel(name)
 		mf.mu.Lock()
-		if st := mf.stats[cand.Version]; st != nil {
+		if st := mf.statsLocked(cand.Version); st != nil {
 			st.baseline = st.brier.Mean()
 			st.pinned = true
 		}
@@ -720,7 +842,7 @@ func (s *Server) driftDetail() map[string]any {
 		mf := s.feedback.forModel(name)
 		mf.mu.Lock()
 		entry := map[string]any{"version": m.Version, "alarm": mf.firing}
-		if st := mf.stats[m.Version]; st != nil {
+		if st := mf.statsLocked(m.Version); st != nil {
 			if w := st.brier.Mean(); !math.IsNaN(w) {
 				entry["brier_window"] = w
 			}

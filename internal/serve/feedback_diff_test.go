@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -254,24 +255,31 @@ func (w *refJoinWindow) ingest(id int64, y float64, version string) string {
 // TestJoinWindowMatchesNestedMapWindow drives random record and label
 // sequences through the live window and the frozen nested-map copy: few
 // ids, one to three versions and windows of one to eight slots, so chains
-// collide and their heads, middles and tails are evicted. Every label
-// must grade the same, the rings must hold the same entries, every chain
-// must reach exactly its id's entries, and each version's Brier and
-// log-loss windows must hold the same samples.
+// collide and their heads, middles and tails are evicted. The ids come
+// from a set with negative ids, zero and ids past 2^53, and the windows'
+// indexes of 2 to 16 positions are small enough that probe runs wrap and
+// backward shifts cross the end of the index. Every label must grade the
+// same, the rings must hold the same entries, every chain must reach
+// exactly its id's entries, and each version's Brier and log-loss windows,
+// and the samples bound for its online histograms, must hold the same
+// contributions in label order.
 func TestJoinWindowMatchesNestedMapWindow(t *testing.T) {
 	versions := []string{"v1", "v2", "v3"}
+	idSet := []int64{0, 1, 2, 3, -1, -2, 1 << 53, 1<<53 + 1, 1 << 62, math.MaxInt64, math.MinInt64}
 	rnd := rand.New(rand.NewSource(20261017))
 	for trial := 0; trial < 2000; trial++ {
 		size, nv, nids := 1+rnd.Intn(8), 1+rnd.Intn(3), 1+rnd.Intn(6)
 		srv := New(NewRegistry(), Config{FeedbackWindow: size, RollingWindow: 1 << 10})
 		mf := srv.feedback.forModel("m")
 		ref := newRefJoinWindow(size)
+		rnd.Shuffle(len(idSet), func(i, j int) { idSet[i], idSet[j] = idSet[j], idSet[i] })
+		var samples []labelSample
 		for op := 0; op < 64; op++ {
-			id, v := int64(rnd.Intn(nids)), versions[rnd.Intn(nv)]
+			id, v := idSet[rnd.Intn(nids)], versions[rnd.Intn(nv)]
 			if rnd.Intn(2) == 0 {
 				risk := float64(rnd.Intn(11)) / 10
 				mf.mu.Lock()
-				mf.recordLocked(id, v, risk)
+				mf.recordLocked(id, mf.versionLocked(v), risk)
 				mf.mu.Unlock()
 				ref.record(id, v, risk)
 			} else {
@@ -279,15 +287,27 @@ func TestJoinWindowMatchesNestedMapWindow(t *testing.T) {
 				if rnd.Intn(3) == 0 {
 					pin = v
 				}
-				got, want := outcomeNames[srv.ingestLabel("m", mf, id, y, pin)], ref.ingest(id, y, pin)
-				if got != want {
+				mf.mu.Lock()
+				got := outcomeNames[mf.gradeLocked(id, y, pin, srv.feedback.rolling, &samples)]
+				mf.mu.Unlock()
+				if want := ref.ingest(id, y, pin); got != want {
 					t.Fatalf("trial %d op %d: label (%d, %q) graded %s, nested-map window %s", trial, op, id, pin, got, want)
 				}
 			}
 			checkJoinWindow(t, mf, ref)
 		}
 		for _, v := range versions {
-			st := mf.stats[v]
+			var brier, logloss []float64
+			for _, sm := range samples {
+				if sm.version == v {
+					brier, logloss = append(brier, sm.brier), append(logloss, sm.logloss)
+				}
+			}
+			if !slices.Equal(brier, ref.brier[v]) || !slices.Equal(logloss, ref.logloss[v]) {
+				t.Fatalf("trial %d: version %s histogram samples %v %v, nested-map window %v %v", trial, v,
+					brier, logloss, ref.brier[v], ref.logloss[v])
+			}
+			st := mf.statsLocked(v)
 			if st == nil {
 				if len(ref.brier[v]) != 0 {
 					t.Fatalf("trial %d: version %s has no stats, nested-map window %d samples", trial, v, len(ref.brier[v]))
@@ -316,39 +336,82 @@ func refMean(samples []float64) float64 {
 	return sum / float64(len(samples))
 }
 
+// versionOf is the version string of a ring entry, "" for an empty
+// slot.
+func versionOf(mf *modelFeedback, e *scoreEntry) string {
+	if !e.valid() {
+		return ""
+	}
+	return mf.versions[e.version()].version
+}
+
 // checkJoinWindow compares the live ring with the frozen one slot by slot
-// and checks the flat index: one chain per id in the window, reaching
-// exactly the valid slots of that id, one per version.
+// and checks the flat index: one chain per id in the window, found from
+// the id's home position, reaching exactly the valid slots of that id,
+// one per version. A window that has recorded nothing has no ring yet and
+// compares as all empty slots.
 func checkJoinWindow(t *testing.T, mf *modelFeedback, ref *refJoinWindow) {
 	t.Helper()
 	valid := 0
-	for i, e := range mf.ring {
-		r := ref.ring[i]
-		if e.id != r.id || e.version != r.version || e.risk != r.risk || e.matched != r.matched || e.valid != r.valid {
+	for i, r := range ref.ring {
+		var e scoreEntry
+		if mf.ring != nil {
+			e = mf.ring[i]
+		}
+		if e.id != r.id || versionOf(mf, &e) != r.version || e.risk != r.risk || e.matched() != r.matched || e.valid() != r.valid {
 			t.Fatalf("slot %d = %+v, nested-map window %+v", i, e, r)
 		}
-		if e.valid {
+		if e.valid() {
 			valid++
 		}
 	}
-	if len(mf.index) != len(ref.index) {
-		t.Fatalf("index holds %d ids, nested-map window %d", len(mf.index), len(ref.index))
-	}
-	chained := 0
-	for id, head := range mf.index {
+	ids, chained := 0, 0
+	for _, s := range mf.index {
+		if s == 0 {
+			continue
+		}
+		ids++
+		id, head := mf.ring[s-1].id, s-1
+		if got := mf.headLocked(id); got != head {
+			t.Fatalf("id %d heads its chain at slot %d, its probe run finds %d", id, head, got)
+		}
 		seen := map[string]bool{}
 		for slot := head; slot >= 0; slot = mf.ring[slot].next {
-			e := mf.ring[slot]
-			if !e.valid || e.id != id || seen[e.version] || ref.index[id][e.version] != int(slot) {
-				t.Fatalf("chain of id %d reaches slot %d = %+v", id, slot, e)
+			e := &mf.ring[slot]
+			v := versionOf(mf, e)
+			if !e.valid() || e.id != id || seen[v] || ref.index[id][v] != int(slot) {
+				t.Fatalf("chain of id %d reaches slot %d = %+v", id, slot, *e)
 			}
-			seen[e.version] = true
+			seen[v] = true
 			chained++
 		}
+	}
+	if ids != len(ref.index) {
+		t.Fatalf("index holds %d ids, nested-map window %d", ids, len(ref.index))
 	}
 	if chained != valid {
 		t.Fatalf("chains reach %d slots, the ring holds %d", chained, valid)
 	}
+}
+
+// feedbackBatch renders a feedback-mode /score body for the leaf model
+// "m", one segment per id from first to first+rows-1, and the /feedback
+// body that labels those segments.
+func feedbackBatch(first, rows int) (score, labels string) {
+	var sb, lb strings.Builder
+	sb.WriteString(`{"model":"m","segments":[`)
+	lb.WriteString(`{"model":"m","labels":[`)
+	for id := first; id < first+rows; id++ {
+		if id > first {
+			sb.WriteByte(',')
+			lb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `{"aadt":1000,"segment_id":%d}`, id)
+		fmt.Fprintf(&lb, `{"segment_id":%d,"crash_prone":%v}`, id, id%3 == 0)
+	}
+	sb.WriteString(`]}`)
+	lb.WriteString(`]}`)
+	return sb.String(), lb.String()
 }
 
 // raceEnabled reports a -race build (race_test.go).
@@ -379,21 +442,8 @@ func TestFeedbackAllocsFlat(t *testing.T) {
 	// Bodies over disjoint id ranges, cycled so the window keeps evicting.
 	bodies := func(rows int) (scores, labels []string) {
 		for b := 0; b < 32; b++ {
-			var sb, lb strings.Builder
-			sb.WriteString(`{"model":"m","segments":[`)
-			lb.WriteString(`{"model":"m","labels":[`)
-			for i := 0; i < rows; i++ {
-				if i > 0 {
-					sb.WriteByte(',')
-					lb.WriteByte(',')
-				}
-				id := b*rows + i
-				fmt.Fprintf(&sb, `{"aadt":1000,"segment_id":%d}`, id)
-				fmt.Fprintf(&lb, `{"segment_id":%d,"crash_prone":%v}`, id, id%3 == 0)
-			}
-			sb.WriteString(`]}`)
-			lb.WriteString(`]}`)
-			scores, labels = append(scores, sb.String()), append(labels, lb.String())
+			score, label := feedbackBatch(b*rows, rows)
+			scores, labels = append(scores, score), append(labels, label)
 		}
 		return scores, labels
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestFeedbackScoringMatchesInlineFormulas pins the Brier/log-loss dedupe:
-// ingestLabel now delegates to eval.BrierPoint/eval.LogLossPoint, and this
+// gradeLocked now delegates to eval.BrierPoint/eval.LogLossPoint, and this
 // sweep proves those produce bit-identical float64 values to the inline
 // formulas the feedback loop previously computed — so every rolling-window
 // mean, histogram bucket and drift-alarm threshold is provably unchanged.

@@ -70,7 +70,10 @@ type Config struct {
 	// model version, for delayed labels to join against. Scoring requests
 	// may then carry a segment_id bookkeeping column (ignored by the
 	// models). 0 disables the loop and all its endpoints. Note a staged
-	// shadow candidate's scores share the incumbent's window.
+	// shadow candidate's scores share the incumbent's window. Each
+	// remembered score costs a 24-byte entry plus 8–16 bytes of index,
+	// 32 bytes when the window is a power of two; a model's window is
+	// allocated by its first scored row that carries a segment_id.
 	FeedbackWindow int
 	// RollingWindow is the sample count of the rolling online-metric
 	// windows (per-version Brier score and log-loss). Default 256.
