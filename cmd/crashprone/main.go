@@ -548,7 +548,7 @@ func cmdServe(args []string) error {
 	drain := fs.Duration("drain", 30*time.Second, "in-flight drain window on shutdown")
 	reload := fs.Bool("reload", false, "enable POST /reload to hot-swap the model set from -dir")
 	feedbackWindow := fs.Int("feedback-window", 0, "served scores kept per model for the POST /feedback label join (0 disables the feedback loop)")
-	rollingWindow := fs.Int("rolling-window", 0, "joined labels per rolling online-metric window (0 = default 256)")
+	rollingWindow := fs.Int("rolling-window", 0, "joined labels per model version's rolling Brier window (0 = default 256)")
 	minFeedback := fs.Int("min-feedback", 0, "joined labels before a version's drift baseline pins (0 = default 50)")
 	driftFire := fs.Float64("drift-fire", 0, "drift alarm fires at windowed Brier >= baseline*this (0 = default 1.5)")
 	driftClear := fs.Float64("drift-clear", 0, "drift alarm clears at windowed Brier <= baseline*this (0 = default 1.15)")

@@ -4,8 +4,8 @@ import "math"
 
 // LogLossClamp bounds the probability used in the log-loss so a hard 0 or
 // 1 prediction meeting the opposite label scores a large finite penalty
-// instead of +Inf. The serving feedback loop's rolling log-loss clamps
-// with it, and its drift alarm thresholds depend on the value.
+// instead of +Inf. The serving feedback loop's per-label log-loss, which
+// its crashprone_online_logloss histogram observes, clamps with it.
 const LogLossClamp = 1e-9
 
 // BrierPoint returns the squared-error contribution of one probabilistic

@@ -65,68 +65,6 @@ func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Rolling is a fixed-size window over the most recent observations,
-// backing windowed online metrics (rolling Brier score, log-loss). Add
-// overwrites the oldest sample once the window is full; Mean recomputes
-// from the live samples so one outlier ages out exactly when it leaves
-// the window. Non-finite values are ignored, mirroring Histogram.Observe.
-// All methods are safe for concurrent use.
-type Rolling struct {
-	mu      sync.Mutex
-	samples []float64
-	next    int
-	total   uint64
-}
-
-// NewRolling builds a window holding the last size observations
-// (size must be positive).
-func NewRolling(size int) *Rolling {
-	if size <= 0 {
-		panic(fmt.Sprintf("metrics: rolling window size %d", size))
-	}
-	return &Rolling{samples: make([]float64, 0, size)}
-}
-
-// Add records one observation, evicting the oldest when full. Non-finite
-// values are dropped.
-func (r *Rolling) Add(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total++
-	if len(r.samples) < cap(r.samples) {
-		r.samples = append(r.samples, v)
-		return
-	}
-	r.samples[r.next] = v
-	r.next = (r.next + 1) % len(r.samples)
-}
-
-// Total returns how many observations were ever recorded, including ones
-// that have aged out of the window.
-func (r *Rolling) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Mean returns the mean of the samples in the window, or NaN when empty
-// so callers cannot mistake "no data" for "perfect score".
-func (r *Rolling) Mean() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range r.samples {
-		sum += v
-	}
-	return sum / float64(len(r.samples))
-}
-
 // Histogram counts observations into fixed buckets. Buckets are upper
 // bounds in ascending order; an implicit +Inf bucket catches the rest.
 // Observe is lock-free: a binary search, two atomic adds and a CAS loop

@@ -307,64 +307,6 @@ func TestLatencyExpositionBytePinned(t *testing.T) {
 	}
 }
 
-func TestRolling(t *testing.T) {
-	r := NewRolling(4)
-	if !math.IsNaN(r.Mean()) {
-		t.Fatalf("empty window mean = %v, want NaN", r.Mean())
-	}
-	r.Add(1)
-	r.Add(math.NaN())   // ignored
-	r.Add(math.Inf(1))  // ignored
-	r.Add(math.Inf(-1)) // ignored
-	r.Add(3)
-	if len(r.samples) != 2 || r.Mean() != 2 {
-		t.Fatalf("count=%d mean=%v, want 2 and 2", len(r.samples), r.Mean())
-	}
-	r.Add(5)
-	r.Add(7) // window full: 1,3,5,7
-	if r.Mean() != 4 {
-		t.Fatalf("full-window mean = %v, want 4", r.Mean())
-	}
-	r.Add(9) // evicts 1: 3,5,7,9
-	if len(r.samples) != 4 || r.Mean() != 6 {
-		t.Fatalf("post-eviction count=%d mean=%v, want 4 and 6", len(r.samples), r.Mean())
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d, want 5", r.Total())
-	}
-}
-
-func TestRollingConcurrent(t *testing.T) {
-	r := NewRolling(64)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 500; k++ {
-				r.Add(0.5)
-				r.Mean()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(r.samples) != 64 || r.Mean() != 0.5 {
-		t.Fatalf("count=%d mean=%v, want 64 and 0.5", len(r.samples), r.Mean())
-	}
-	if r.Total() != 8*500 {
-		t.Fatalf("total = %d, want %d", r.Total(), 8*500)
-	}
-}
-
-func TestRollingPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive window size must panic")
-		}
-	}()
-	NewRolling(0)
-}
-
 func TestFloatGauge(t *testing.T) {
 	var g FloatGauge
 	if g.Value() != 0 {

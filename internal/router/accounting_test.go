@@ -68,12 +68,14 @@ func script(a scriptedAnswer) *atomic.Value {
 }
 
 // routeOnce sends one scoring call through the router at url and returns
-// the router's status.
-func routeOnce(t *testing.T, url, path string) int {
+// the router's status. A stream call sends one row, or as many rows as
+// reach minBytes.
+func routeOnce(t *testing.T, url, path string, minBytes int) int {
 	t.Helper()
 	body := `{"model":"m","segments":[{"aadt":1}]}`
 	if strings.HasPrefix(path, "/score/stream") {
-		body = `{"aadt":1}` + "\n"
+		row := `{"aadt":1}` + "\n"
+		body = strings.Repeat(row, max(1, (minBytes+len(row)-1)/len(row)))
 	}
 	resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -142,31 +144,38 @@ func waitBreaker(t *testing.T, rt *Router, i int, want string) {
 // attempt adds exactly one, under the outcome its answer earns. A final
 // answer below 500 other than a 429 is ok, a 429 is rejected, and a 5xx,
 // a reset connection, a stream cut off before its trailer or a hedge
-// loser the router cancels is an error.
+// loser the router cancels is an error. The router makes at most one
+// attempt per replica, so a failed stream is retried on the second
+// replica only while its body fits the replay buffer.
 func TestRouterAttemptAccounting(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		path    string
-		answers []scriptedAnswer // one replica each, in configuration order
-		hedge   bool
-		status  int
-		want    map[string]uint64
+		name        string
+		path        string
+		answers     []scriptedAnswer // one replica each, in configuration order
+		hedge       bool
+		status      int
+		want        map[string]uint64
+		streamBytes int // the stream body's least size; 0 sends one row
 	}{
-		{"score 200", "/score", []scriptedAnswer{answerOK}, false, http.StatusOK, map[string]uint64{"0 ok": 1}},
-		{"score 404", "/score", []scriptedAnswer{answer404}, false, http.StatusNotFound, map[string]uint64{"0 ok": 1}},
-		{"score 429", "/score", []scriptedAnswer{answer429}, false, http.StatusTooManyRequests, map[string]uint64{"0 rejected": 1}},
-		{"score 500", "/score", []scriptedAnswer{answer500}, false, http.StatusBadGateway, map[string]uint64{"0 error": 1}},
-		{"score reset", "/score", []scriptedAnswer{answerReset}, false, http.StatusBadGateway, map[string]uint64{"0 error": 1}},
+		{"score 200", "/score", []scriptedAnswer{answerOK}, false, http.StatusOK, map[string]uint64{"0 ok": 1}, 0},
+		{"score 404", "/score", []scriptedAnswer{answer404}, false, http.StatusNotFound, map[string]uint64{"0 ok": 1}, 0},
+		{"score 429", "/score", []scriptedAnswer{answer429}, false, http.StatusTooManyRequests, map[string]uint64{"0 rejected": 1}, 0},
+		{"score 500", "/score", []scriptedAnswer{answer500}, false, http.StatusBadGateway, map[string]uint64{"0 error": 1}, 0},
+		{"score reset", "/score", []scriptedAnswer{answerReset}, false, http.StatusBadGateway, map[string]uint64{"0 error": 1}, 0},
 		{"hedged score 200, slow loser", "/score", []scriptedAnswer{answerStall, answerOK}, true, http.StatusOK,
-			map[string]uint64{"0 error": 1, "1 ok": 1}},
+			map[string]uint64{"0 error": 1, "1 ok": 1}, 0},
 		{"hedged score 404, slow loser", "/score", []scriptedAnswer{answerStall, answer404}, true, http.StatusNotFound,
-			map[string]uint64{"0 error": 1, "1 ok": 1}},
-		{"stream 200 with trailer", "/score/stream?model=m", []scriptedAnswer{answerOK}, false, http.StatusOK, map[string]uint64{"0 ok": 1}},
-		{"stream cut before trailer", "/score/stream?model=m", []scriptedAnswer{answerCut}, false, http.StatusOK, map[string]uint64{"0 error": 1}},
-		{"stream 404", "/score/stream?model=m", []scriptedAnswer{answer404}, false, http.StatusNotFound, map[string]uint64{"0 ok": 1}},
+			map[string]uint64{"0 error": 1, "1 ok": 1}, 0},
+		{"stream 200 with trailer", "/score/stream?model=m", []scriptedAnswer{answerOK}, false, http.StatusOK, map[string]uint64{"0 ok": 1}, 0},
+		{"stream cut before trailer", "/score/stream?model=m", []scriptedAnswer{answerCut}, false, http.StatusOK, map[string]uint64{"0 error": 1}, 0},
+		{"stream 404", "/score/stream?model=m", []scriptedAnswer{answer404}, false, http.StatusNotFound, map[string]uint64{"0 ok": 1}, 0},
+		{"stream 500 retried on the second replica", "/score/stream?model=m", []scriptedAnswer{answer500, answerOK}, false, http.StatusOK,
+			map[string]uint64{"0 error": 1, "1 ok": 1}, 0},
+		{"stream 500 over the replay cap, not retried", "/score/stream?model=m", []scriptedAnswer{answer500, answerOK}, false, http.StatusBadGateway,
+			map[string]uint64{"0 error": 1}, streamReplayBytes + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{MaxAttempts: 1, BreakerFailures: 100}
+			cfg := Config{MaxAttempts: len(tc.answers), BreakerFailures: 100}
 			for _, a := range tc.answers {
 				cfg.Replicas = append(cfg.Replicas, scriptedReplica(t, script(a)))
 			}
@@ -174,7 +183,7 @@ func TestRouterAttemptAccounting(t *testing.T) {
 				cfg.HedgeAfter = 20 * time.Millisecond
 			}
 			rt, srv := newTestRouter(t, cfg)
-			if got := routeOnce(t, srv.URL, tc.path); got != tc.status {
+			if got := routeOnce(t, srv.URL, tc.path, tc.streamBytes); got != tc.status {
 				t.Fatalf("router answered %d, want %d", got, tc.status)
 			}
 			waitAttempts(t, rt, tc.want)
@@ -195,13 +204,13 @@ func TestRouterHalfOpenRecloses(t *testing.T) {
 				BreakerFailures: 1,
 				BreakerCooldown: 50 * time.Millisecond,
 			})
-			if got := routeOnce(t, srv.URL, path); got != http.StatusBadGateway {
+			if got := routeOnce(t, srv.URL, path, 0); got != http.StatusBadGateway {
 				t.Fatalf("failing replica: router answered %d, want 502", got)
 			}
 			waitBreaker(t, rt, 0, "open")
 			answers.Store(answerOK)
 			time.Sleep(60 * time.Millisecond) // past the cooldown: the next call is the probe
-			if got := routeOnce(t, srv.URL, path); got != http.StatusOK {
+			if got := routeOnce(t, srv.URL, path, 0); got != http.StatusOK {
 				t.Fatalf("healed replica: router answered %d, want 200", got)
 			}
 			waitBreaker(t, rt, 0, "closed")

@@ -78,11 +78,6 @@ type Config struct {
 	// every upstream read resets the clock, mirroring the replica's own
 	// progress deadline. Default 30s.
 	StreamStallTimeout time.Duration
-	// StreamReplayBytes caps the stream request body the router buffers
-	// for replay. A stream whose body fits can be retried on another
-	// replica as long as no response byte was forwarded; a larger stream
-	// is single-shot. Default 1 MiB.
-	StreamReplayBytes int
 	// MaxBodyBytes caps a batch request body, matching the replica's own
 	// limit. Default 64 MiB.
 	MaxBodyBytes int64
@@ -104,7 +99,6 @@ func DefaultConfig() Config {
 		BreakerCooldown:    2 * time.Second,
 		PollInterval:       time.Second,
 		StreamStallTimeout: 30 * time.Second,
-		StreamReplayBytes:  1 << 20,
 		MaxBodyBytes:       64 << 20,
 	}
 }
@@ -136,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StreamStallTimeout <= 0 {
 		c.StreamStallTimeout = def.StreamStallTimeout
-	}
-	if c.StreamReplayBytes <= 0 {
-		c.StreamReplayBytes = def.StreamReplayBytes
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = def.MaxBodyBytes

@@ -17,14 +17,19 @@ import (
 // with {"risk": — only the trailer opens with the done field.
 var trailerPrefix = []byte(`{"done":`)
 
-// replayBody tees the client's stream request body into a capped buffer
-// so a failed attempt can be replayed on another replica. Once the
-// buffer cap is exceeded the body is marked single-shot: the router
-// keeps constant memory per stream no matter how large the feed is.
+// streamReplayBytes caps the stream request body the router buffers for
+// replay. A stream whose body fits can be retried on another replica as
+// long as no response byte was forwarded; a larger stream is single-shot.
+const streamReplayBytes = 1 << 20
+
+// replayBody tees the client's stream request body into a buffer capped
+// at streamReplayBytes so a failed attempt can be replayed on another
+// replica. Once the cap is exceeded the body is marked single-shot: the
+// router keeps constant memory per stream no matter how large the feed
+// is.
 type replayBody struct {
 	src      io.Reader // the client body, advanced as attempts consume it
 	buf      []byte
-	cap      int
 	overflow bool
 }
 
@@ -32,7 +37,7 @@ type replayBody struct {
 // silently drops the rest (a tee writer must not fail the read).
 func (rb *replayBody) Write(p []byte) (int, error) {
 	if !rb.overflow {
-		room := rb.cap - len(rb.buf)
+		room := streamReplayBytes - len(rb.buf)
 		if room >= len(p) {
 			rb.buf = append(rb.buf, p...)
 		} else {
@@ -86,7 +91,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	path := upstreamPath(endpoint, req)
-	rb := &replayBody{src: req.Body, cap: rt.cfg.StreamReplayBytes}
+	rb := &replayBody{src: req.Body}
 	res, ok := rt.retry(w, req, endpoint, make(map[*replica]bool), rb.canReplay, func(rep *replica) attemptResult {
 		// No AttemptTimeout: the attempt context lives until the stream
 		// ends.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"net/http"
-	"sort"
 	"sync"
 
 	"roadcrash/internal/artifact"
@@ -17,16 +16,28 @@ import (
 
 // This file is the production feedback loop: POST /feedback joins delayed
 // crash labels to recently served scores (a bounded in-memory window keyed
-// by segment id + model version), maintains rolling online Brier/log-loss
-// per model version, raises a drift alarm with hysteresis against a pinned
-// baseline, shadow-scores a staged candidate set on live traffic, and
-// gates promotion of that set through the existing two-phase reload on the
+// by segment id + model version), keeps each model version's online
+// record (a rolling Brier window and the Brier and log-loss histograms),
+// raises a drift alarm with hysteresis against a pinned baseline,
+// shadow-scores a staged candidate set on live traffic, and gates
+// promotion of that set through the existing two-phase reload on the
 // candidate actually beating the incumbent on the rolling window.
 
 // segmentIDAttr is the bookkeeping column the feedback loop joins on. It
 // matches roadnet.AttrSegmentID without importing the generator: any feed
 // can carry it, synthetic or not.
 const segmentIDAttr = "segment_id"
+
+// segmentKey is the one conversion of a segment id to its join key. Only
+// an integer in [-2^63, 2^63) converts; any other value (a fraction, an
+// infinity, the missing marker, an integer out of int64 range) reports
+// false, because int64 would truncate it or fold it onto another id's key.
+func segmentKey(id float64) (int64, bool) {
+	if id != math.Trunc(id) || id < -(1<<63) || id >= 1<<63 {
+		return 0, false
+	}
+	return int64(id), true
+}
 
 // brierBuckets covers the [0, 1] range of per-label Brier contributions
 // (squared error of a probability against a 0/1 outcome).
@@ -97,15 +108,54 @@ func (e *scoreEntry) matched() bool  { return e.tag&entryMatched != 0 }
 func (e *scoreEntry) version() int32 { return int32(e.tag & entryVersion) }
 
 // versionStats is one row of a model's version table: a version that has
-// scored a row into the join window, and its online quality record. The
-// rolling windows stay nil until a label first matches one of the
-// version's scores, and until then the version has no stats.
+// scored a row into the join window, and its whole online quality record,
+// which the model's lock alone guards. The record starts at the first
+// label that matches one of the version's scores; until then brier is
+// nil and the version has no stats. brier
+// holds the last RollingWindow Brier contributions: it grows to that
+// length, then next is its oldest slot, which the next contribution
+// overwrites. labels counts every contribution, aged-out ones included.
+// brierHist and loglossHist are the version's crashprone_online_brier and
+// crashprone_online_logloss series, looked up at its first match.
 type versionStats struct {
-	version  string
-	brier    *metrics.Rolling
-	logloss  *metrics.Rolling
-	baseline float64
-	pinned   bool
+	version                string
+	brier                  []float64
+	next                   int
+	labels                 uint64
+	baseline               float64
+	pinned                 bool
+	brierHist, loglossHist *metrics.Histogram
+}
+
+// addBrier puts one Brier contribution into the window. A non-finite one
+// (a served risk far outside [0, 1], which an artifact's leaf values do
+// not rule out) is dropped and not counted, as the histograms drop it, so
+// it cannot poison the mean. Caller holds mf.mu.
+func (st *versionStats) addBrier(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	st.labels++
+	if len(st.brier) < cap(st.brier) {
+		st.brier = append(st.brier, v)
+		return
+	}
+	st.brier[st.next] = v
+	st.next = (st.next + 1) % len(st.brier)
+}
+
+// brierMean is the windowed Brier: the mean of the contributions in the
+// window, summed in slice order, or NaN while it is empty, so no caller
+// mistakes "no data" for a perfect score. Caller holds mf.mu.
+func (st *versionStats) brierMean() float64 {
+	if len(st.brier) == 0 {
+		return math.NaN()
+	}
+	sum := 0.0
+	for _, v := range st.brier {
+		sum += v
+	}
+	return sum / float64(len(st.brier))
 }
 
 // modelFeedback is one model's join window and drift state. The ring
@@ -121,6 +171,7 @@ type versionStats struct {
 // row is reported as a duplicate, not silently re-counted.
 type modelFeedback struct {
 	mu       sync.Mutex
+	name     string
 	window   int
 	ring     []scoreEntry
 	next     int
@@ -131,16 +182,19 @@ type modelFeedback struct {
 }
 
 // feedbackState is the server's feedback subsystem: per-model join
-// windows plus the currently staged shadow candidate set.
+// windows plus the currently staged shadow candidate set. onlineBrier and
+// onlineLogloss are the {model, version} histogram families that each
+// version row takes its two series from.
 type feedbackState struct {
 	window  int
 	rolling int
 	min     int
 
-	mu       sync.Mutex
-	models   map[string]*modelFeedback
-	shadow   *Staged
-	shadowBy map[string]*Model // candidate per model name, from shadow
+	onlineBrier, onlineLogloss *metrics.HistogramVec
+
+	mu     sync.Mutex
+	models map[string]*modelFeedback
+	shadow *Staged
 }
 
 func newFeedbackState(cfg Config) *feedbackState {
@@ -158,7 +212,7 @@ func (f *feedbackState) forModel(name string) *modelFeedback {
 	defer f.mu.Unlock()
 	mf := f.models[name]
 	if mf == nil {
-		mf = &modelFeedback{window: f.window}
+		mf = &modelFeedback{name: name, window: f.window}
 		f.models[name] = mf
 	}
 	return mf
@@ -170,7 +224,10 @@ func (f *feedbackState) forModel(name string) *modelFeedback {
 func (f *feedbackState) candidateFor(name, incumbentVersion string) *Model {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c := f.shadowBy[name]
+	if f.shadow == nil {
+		return nil
+	}
+	c := f.shadow.models[name]
 	if c == nil || c.Version == incumbentVersion {
 		return nil
 	}
@@ -321,22 +378,15 @@ var outcomeNames = [...]string{
 	outcomeUnmatched: "unmatched",
 }
 
-// labelSample is one fresh match's contributions, kept for the online
-// histograms until the request's labels are all graded.
-type labelSample struct {
-	version        string
-	brier, logloss float64
-}
-
 // gradeLocked grades one label against the join window. For a match it
-// updates the rolling stats of every version whose served score for the
-// segment was still unlabelled, and appends the per-label Brier and
-// log-loss contributions to samples for the online histograms. An id
-// with no window entry at all is unmatched — the score aged out of the
-// window (or was never served here); an id whose entries were all
-// labelled already is a duplicate. A non-empty version grades only that
-// version's score. Caller holds mf.mu.
-func (mf *modelFeedback) gradeLocked(id int64, y float64, version string, rolling int, samples *[]labelSample) int {
+// writes the per-label Brier and log-loss contributions into the record
+// of every version whose served score for the segment was still
+// unlabelled: the Brier window and both online histograms, whose
+// observes are lock-free. An id with no window entry at all is unmatched
+// — the score aged out of the window (or was never served here); an id
+// whose entries were all labelled already is a duplicate. A non-empty
+// version grades only that version's score. Caller holds mf.mu.
+func (mf *modelFeedback) gradeLocked(id int64, y float64, version string, f *feedbackState) int {
 	fresh, seen := 0, 0
 	for slot := mf.headLocked(id); slot >= 0; slot = mf.ring[slot].next {
 		e := &mf.ring[slot]
@@ -351,16 +401,17 @@ func (mf *modelFeedback) gradeLocked(id int64, y float64, version string, rollin
 		e.tag |= entryMatched
 		fresh++
 		if st.brier == nil {
-			st.brier, st.logloss = metrics.NewRolling(rolling), metrics.NewRolling(rolling)
+			st.brier = make([]float64, 0, f.rolling)
+			st.brierHist = f.onlineBrier.With(mf.name, st.version)
+			st.loglossHist = f.onlineLogloss.With(mf.name, st.version)
 		}
 		// Only this loop grades with eval's per-point Brier and log-loss;
 		// TestFeedbackScoringMatchesInlineFormulas pins their bits to the
 		// inline formulas the loop computed before.
 		brier := eval.BrierPoint(e.risk, y)
-		logloss := eval.LogLossPoint(e.risk, y)
-		st.brier.Add(brier)
-		st.logloss.Add(logloss)
-		*samples = append(*samples, labelSample{version: st.version, brier: brier, logloss: logloss})
+		st.addBrier(brier)
+		st.brierHist.Observe(brier)
+		st.loglossHist.Observe(eval.LogLossPoint(e.risk, y))
 	}
 	switch {
 	case fresh > 0:
@@ -372,35 +423,26 @@ func (mf *modelFeedback) gradeLocked(id int64, y float64, version string, rollin
 	}
 }
 
-// driftSnapshot is one model's drift state after an evaluation pass.
-type driftSnapshot struct {
-	version  string
-	window   float64
-	baseline float64
-	pinned   bool
-	firing   bool
-	labels   uint64
-}
-
 // evaluateDrift pins the incumbent version's baseline once it has seen
 // MinFeedback labels, then applies the hysteresis: the alarm fires when
 // the windowed Brier reaches baseline×DriftFire and clears only when it
 // falls back to baseline×DriftClear — the gap keeps a metric hovering at
-// the threshold from flapping the alarm.
-func (s *Server) evaluateDrift(name, version string) driftSnapshot {
+// the threshold from flapping the alarm. It returns whether the model's
+// alarm is firing.
+func (s *Server) evaluateDrift(name, version string) bool {
 	mf := s.feedback.forModel(name)
 	mf.mu.Lock()
 	st := mf.statsLocked(version)
 	if st == nil {
-		snap := driftSnapshot{version: version, window: math.NaN(), firing: mf.firing}
+		firing := mf.firing
 		mf.mu.Unlock()
-		return snap
+		return firing
 	}
-	if !st.pinned && st.brier.Total() >= uint64(s.feedback.min) {
-		st.baseline = st.brier.Mean()
+	w := st.brierMean()
+	if !st.pinned && st.labels >= uint64(s.feedback.min) {
+		st.baseline = w
 		st.pinned = true
 	}
-	w := st.brier.Mean()
 	if st.pinned {
 		switch {
 		case !mf.firing && w >= st.baseline*s.cfg.DriftFire:
@@ -409,32 +451,31 @@ func (s *Server) evaluateDrift(name, version string) driftSnapshot {
 			mf.firing = false
 		}
 	}
-	snap := driftSnapshot{
-		version: version, window: w, baseline: st.baseline,
-		pinned: st.pinned, firing: mf.firing, labels: st.brier.Total(),
-	}
+	firing, pinned, baseline := mf.firing, st.pinned, st.baseline
 	mf.mu.Unlock()
 
 	if !math.IsNaN(w) {
 		s.brierWindow.With(name, version).Set(w)
 	}
-	if snap.pinned {
-		s.driftBaseline.With(name).Set(snap.baseline)
+	if pinned {
+		s.driftBaseline.With(name).Set(baseline)
 	}
 	alarm := int64(0)
-	if snap.firing {
+	if firing {
 		alarm = 1
 	}
 	s.driftAlarm.With(name).Set(alarm)
-	return snap
+	return firing
 }
 
 // observeScores files a scored batch into the feedback loop: incumbent
 // scores join the label window under the incumbent's version, and when a
 // differing candidate is staged the same batch is shadow-scored —
 // recorded under the candidate's version, never returned to the client.
-// A shadow failure (schema mismatch, non-finite score) is counted and
-// otherwise ignored; shadowing must not be able to break serving.
+// A row whose segment_id has no join key (segmentKey) is scored and
+// answered but not filed. A shadow failure (schema mismatch, non-finite
+// score) is counted and otherwise ignored; shadowing must not be able to
+// break serving.
 func (s *Server) observeScores(name string, m *Model, batch *data.Batch, scores []float64) {
 	_, segCol := m.fbSchema()
 	cand := s.feedback.candidateFor(name, m.Version)
@@ -460,10 +501,10 @@ func (s *Server) observeScores(name string, m *Model, batch *data.Batch, scores 
 		cv = mf.versionLocked(cand.Version)
 	}
 	for i, risk := range scores {
-		if data.IsMissing(ids[i]) {
+		id, ok := segmentKey(ids[i])
+		if !ok {
 			continue
 		}
-		id := int64(ids[i])
 		mf.recordLocked(id, v, risk)
 		if candScores != nil && artifact.IsFinite(candScores[i]) {
 			mf.recordLocked(id, cv, candScores[i])
@@ -499,28 +540,22 @@ func (m *Model) fbSchema() ([]data.Attribute, int) {
 }
 
 // feedbackBufs is the reusable storage of one /feedback request: the body
-// read buffer, the decoded label columns and the fresh matches'
-// contributions.
+// read buffer and the decoded label columns.
 type feedbackBufs struct {
-	body    []byte
-	req     data.FeedbackRequest
-	samples []labelSample
+	body []byte
+	req  data.FeedbackRequest
 }
 
 var feedbackBufPool = sync.Pool{New: func() any { return new(feedbackBufs) }}
 
 // putFeedbackBufs pools b unless a large request grew it: the label
-// columns (8 bytes a label each) and the samples (32 bytes each) get the
-// byte buffers' 1 MiB cap.
+// columns (8 bytes a label each) get the byte buffers' 1 MiB cap.
 func putFeedbackBufs(b *feedbackBufs) {
 	if cap(b.body) > maxPooledBuf {
 		b.body = nil
 	}
 	if 8*max(cap(b.req.IDs), cap(b.req.Labels)) > maxPooledBuf {
 		b.req.IDs, b.req.Labels = nil, nil
-	}
-	if 32*cap(b.samples) > maxPooledBuf {
-		b.samples = nil
 	}
 	feedbackBufPool.Put(b)
 }
@@ -530,9 +565,9 @@ func putFeedbackBufs(b *feedbackBufs) {
 // is read whole into a pooled buffer and decoded in one pass, here into
 // pooled label columns. The request is validated whole before any label
 // is applied, every label is graded matched/duplicate/unmatched against
-// the join window under one hold of the model's lock, the fresh matches
-// are observed into the online histograms, the model's drift alarm is
-// re-evaluated, and — with AutoPromote on — the promotion gate runs.
+// the join window under one hold of the model's lock, the model's drift
+// alarm is re-evaluated, and — with AutoPromote on — the promotion gate
+// runs.
 func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 	bufs := feedbackBufPool.Get().(*feedbackBufs)
 	defer putFeedbackBufs(bufs)
@@ -551,13 +586,12 @@ func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 
 	mf := s.feedback.forModel(fr.Model)
 	var counts [len(outcomeNames)]int
-	bufs.samples = bufs.samples[:0]
 	mf.mu.Lock()
 	for i, id := range fr.IDs {
-		counts[mf.gradeLocked(int64(id), fr.Labels[i], fr.Version, s.feedback.rolling, &bufs.samples)]++
+		key, _ := segmentKey(id) // parseFeedback admitted only ids with a key
+		counts[mf.gradeLocked(key, fr.Labels[i], fr.Version, s.feedback)]++
 	}
 	mf.mu.Unlock()
-	s.observeSamples(fr.Model, bufs.samples)
 	outcomes := make(map[string]int, len(counts))
 	for o, n := range counts {
 		if n > 0 {
@@ -565,8 +599,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 			s.fbLabels.With(fr.Model, outcomeNames[o]).Add(uint64(n))
 		}
 	}
-	snap := s.evaluateDrift(fr.Model, m.Version)
-	resp := FeedbackResponse{Model: fr.Model, Outcomes: outcomes, Alarm: snap.firing}
+	resp := FeedbackResponse{Model: fr.Model, Outcomes: outcomes, Alarm: s.evaluateDrift(fr.Model, m.Version)}
 	if s.cfg.AutoPromote {
 		if promoted, _, err := s.tryPromote(); err == nil {
 			resp.Promoted = promoted
@@ -575,36 +608,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// observeSamples feeds a request's fresh matches into the online
-// histograms in label order, looking each version's series up once.
-func (s *Server) observeSamples(name string, samples []labelSample) {
-	type series struct {
-		version        string
-		brier, logloss *metrics.Histogram
-	}
-	// One per version that scored a labelled segment: the incumbent, a
-	// shadow candidate, and incumbents promoted away while their scores
-	// were in the window. Four fit every case but a chain of promotions.
-	var buf [4]series
-	seen := buf[:0]
-	for _, sm := range samples {
-		i := 0
-		for i < len(seen) && seen[i].version != sm.version {
-			i++
-		}
-		if i == len(seen) {
-			seen = append(seen, series{sm.version, s.onlineBrier.With(name, sm.version), s.onlineLogloss.With(name, sm.version)})
-		}
-		seen[i].brier.Observe(sm.brier)
-		seen[i].logloss.Observe(sm.logloss)
-	}
-}
-
 // parseFeedback decodes a /feedback body into fr and validates it whole,
 // before any label is applied. It reports the first problem in this
 // order: malformed body, missing model name, unknown model (404), unknown
 // version (404), no labels, then the lowest bad label. It returns the
-// serving model and 200, or the status and message to answer with.
+// serving model and 200, or the status and message to answer with. An
+// unknown model's labels are counted under model="", the one label value
+// a client cannot grow: only a name the registry resolves labels a series.
 func (s *Server) parseFeedback(body []byte, fr *data.FeedbackRequest) (*Model, int, string) {
 	if err := data.ParseFeedbackRequest(body, fr); err != nil {
 		return nil, http.StatusBadRequest, fmt.Sprintf("malformed request: %v", err)
@@ -614,7 +624,7 @@ func (s *Server) parseFeedback(body []byte, fr *data.FeedbackRequest) (*Model, i
 	}
 	m, ok := s.reg.Get(fr.Model)
 	if !ok {
-		s.fbLabels.With(fr.Model, "unknown_model").Add(uint64(len(fr.IDs)))
+		s.fbLabels.With("", "unknown_model").Add(uint64(len(fr.IDs)))
 		return nil, http.StatusNotFound, fmt.Sprintf("unknown model %q", fr.Model)
 	}
 	if fr.Version != "" && !s.knownVersion(fr.Model, m, fr.Version) {
@@ -626,11 +636,12 @@ func (s *Server) parseFeedback(body []byte, fr *data.FeedbackRequest) (*Model, i
 		return nil, http.StatusBadRequest, "no labels to ingest"
 	}
 	for i, id := range fr.IDs {
+		_, ok := segmentKey(id)
 		switch {
 		case data.IsMissing(id):
 			return nil, http.StatusBadRequest, fmt.Sprintf("label %d: missing segment_id", i)
-		case id != math.Trunc(id) || math.IsInf(id, 0):
-			return nil, http.StatusBadRequest, fmt.Sprintf("label %d: segment_id %v is not an integer", i, id)
+		case !ok:
+			return nil, http.StatusBadRequest, fmt.Sprintf("label %d: segment_id %v is not an integer in int64 range", i, id)
 		case data.IsMissing(fr.Labels[i]):
 			return nil, http.StatusBadRequest, fmt.Sprintf("label %d: missing crash_prone", i)
 		}
@@ -671,13 +682,8 @@ func (s *Server) handleShadow(w http.ResponseWriter, req *http.Request) {
 				fmt.Sprintf("shadow stage failed, nothing staged: %v", err))
 			return
 		}
-		byName := make(map[string]*Model, len(staged.models))
-		for name, m := range staged.models {
-			byName[name] = m
-		}
 		s.feedback.mu.Lock()
 		s.feedback.shadow = staged
-		s.feedback.shadowBy = byName
 		s.feedback.mu.Unlock()
 		s.promotions.With("staged").Inc()
 		writeJSON(w, http.StatusOK, s.shadowStatus())
@@ -692,7 +698,6 @@ func (s *Server) handleShadowAbort(w http.ResponseWriter, req *http.Request) {
 	s.feedback.mu.Lock()
 	had := s.feedback.shadow != nil
 	s.feedback.shadow = nil
-	s.feedback.shadowBy = nil
 	s.feedback.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"aborted": had})
 }
@@ -701,19 +706,13 @@ func (s *Server) handleShadowAbort(w http.ResponseWriter, req *http.Request) {
 func (s *Server) shadowStatus() ShadowStatus {
 	s.feedback.mu.Lock()
 	staged := s.feedback.shadow
-	byName := s.feedback.shadowBy
 	s.feedback.mu.Unlock()
 	if staged == nil {
 		return ShadowStatus{}
 	}
 	status := ShadowStatus{Staged: true}
-	names := make([]string, 0, len(byName))
-	for name := range byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		cand := byName[name]
+	for _, name := range staged.names {
+		cand := staged.models[name]
 		cs := CandidateStatus{Model: name, CandidateVersion: cand.Version}
 		if inc, ok := s.reg.Get(name); ok {
 			cs.IncumbentVersion = inc.Version
@@ -742,7 +741,7 @@ func (s *Server) versionBrier(name, version string) (float64, uint64) {
 	if st == nil {
 		return math.NaN(), 0
 	}
-	return st.brier.Mean(), st.brier.Total()
+	return st.brierMean(), st.labels
 }
 
 // handlePromote runs the promotion gate on demand: 200 with the promoted
@@ -767,20 +766,14 @@ func (s *Server) handlePromote(w http.ResponseWriter, req *http.Request) {
 func (s *Server) tryPromote() (promoted, names []string, err error) {
 	s.feedback.mu.Lock()
 	staged := s.feedback.shadow
-	byName := s.feedback.shadowBy
 	s.feedback.mu.Unlock()
 	if staged == nil {
 		s.promotions.With("no_candidate").Inc()
 		return nil, nil, fmt.Errorf("no shadow candidate staged (POST /shadow first)")
 	}
 
-	candNames := make([]string, 0, len(byName))
-	for name := range byName {
-		candNames = append(candNames, name)
-	}
-	sort.Strings(candNames)
-	for _, name := range candNames {
-		cand := byName[name]
+	for _, name := range staged.names {
+		cand := staged.models[name]
 		inc, ok := s.reg.Get(name)
 		if !ok || inc.Version == cand.Version {
 			continue // new or identical model: nothing to beat
@@ -810,7 +803,6 @@ func (s *Server) tryPromote() (promoted, names []string, err error) {
 	names = staged.Commit()
 	s.feedback.mu.Lock()
 	s.feedback.shadow = nil
-	s.feedback.shadowBy = nil
 	s.feedback.mu.Unlock()
 	s.promotions.With("promoted").Inc()
 
@@ -818,11 +810,11 @@ func (s *Server) tryPromote() (promoted, names []string, err error) {
 	// at its current windowed Brier and clear the alarm — the old
 	// baseline described a model that is no longer serving.
 	for _, name := range promoted {
-		cand := byName[name]
+		cand := staged.models[name]
 		mf := s.feedback.forModel(name)
 		mf.mu.Lock()
 		if st := mf.statsLocked(cand.Version); st != nil {
-			st.baseline = st.brier.Mean()
+			st.baseline = st.brierMean()
 			st.pinned = true
 		}
 		mf.firing = false
@@ -843,13 +835,13 @@ func (s *Server) driftDetail() map[string]any {
 		mf.mu.Lock()
 		entry := map[string]any{"version": m.Version, "alarm": mf.firing}
 		if st := mf.statsLocked(m.Version); st != nil {
-			if w := st.brier.Mean(); !math.IsNaN(w) {
+			if w := st.brierMean(); !math.IsNaN(w) {
 				entry["brier_window"] = w
 			}
 			if st.pinned {
 				entry["baseline"] = st.baseline
 			}
-			entry["labels"] = st.brier.Total()
+			entry["labels"] = st.labels
 		}
 		mf.mu.Unlock()
 		detail[name] = entry

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +24,9 @@ import (
 // decode and validation before it had its own parser: encoding/json into
 // FeedbackRequest, then the whole-request checks in the handler's order.
 // end is the decoder's offset after the request value, -1 when the body
-// failed to decode; the body is read without a size limit.
+// failed to decode; the body is read without a size limit. The segment
+// id check has since been narrowed to integers in int64 range, and the
+// copy follows it.
 func referenceFeedbackParse(s *Server, body []byte) (fr FeedbackRequest, status int, msg string, end int64) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(&fr); err != nil {
@@ -50,8 +51,8 @@ func referenceFeedbackParse(s *Server, body []byte) (fr FeedbackRequest, status 
 		switch {
 		case l.SegmentID == nil:
 			return fr, http.StatusBadRequest, fmt.Sprintf("label %d: missing segment_id", i), end
-		case *l.SegmentID != math.Trunc(*l.SegmentID) || math.IsInf(*l.SegmentID, 0):
-			return fr, http.StatusBadRequest, fmt.Sprintf("label %d: segment_id %v is not an integer", i, *l.SegmentID), end
+		case *l.SegmentID != math.Trunc(*l.SegmentID) || *l.SegmentID < math.MinInt64 || *l.SegmentID >= 1<<63:
+			return fr, http.StatusBadRequest, fmt.Sprintf("label %d: segment_id %v is not an integer in int64 range", i, *l.SegmentID), end
 		case l.CrashProne == nil:
 			return fr, http.StatusBadRequest, fmt.Sprintf("label %d: missing crash_prone", i), end
 		}
@@ -259,10 +260,11 @@ func (w *refJoinWindow) ingest(id int64, y float64, version string) string {
 // from a set with negative ids, zero and ids past 2^53, and the windows'
 // indexes of 2 to 16 positions are small enough that probe runs wrap and
 // backward shifts cross the end of the index. Every label must grade the
-// same, the rings must hold the same entries, every chain must reach
-// exactly its id's entries, and each version's Brier and log-loss windows,
-// and the samples bound for its online histograms, must hold the same
-// contributions in label order.
+// same, the rings must hold the same entries, and every chain must reach
+// exactly its id's entries. Each version's record must agree bit for bit
+// with its contributions in label order: the label count and the Brier
+// window's mean, and the Count and Sum of its Brier and log-loss
+// histograms.
 func TestJoinWindowMatchesNestedMapWindow(t *testing.T) {
 	versions := []string{"v1", "v2", "v3"}
 	idSet := []int64{0, 1, 2, 3, -1, -2, 1 << 53, 1<<53 + 1, 1 << 62, math.MaxInt64, math.MinInt64}
@@ -273,7 +275,6 @@ func TestJoinWindowMatchesNestedMapWindow(t *testing.T) {
 		mf := srv.feedback.forModel("m")
 		ref := newRefJoinWindow(size)
 		rnd.Shuffle(len(idSet), func(i, j int) { idSet[i], idSet[j] = idSet[j], idSet[i] })
-		var samples []labelSample
 		for op := 0; op < 64; op++ {
 			id, v := idSet[rnd.Intn(nids)], versions[rnd.Intn(nv)]
 			if rnd.Intn(2) == 0 {
@@ -288,7 +289,7 @@ func TestJoinWindowMatchesNestedMapWindow(t *testing.T) {
 					pin = v
 				}
 				mf.mu.Lock()
-				got := outcomeNames[mf.gradeLocked(id, y, pin, srv.feedback.rolling, &samples)]
+				got := outcomeNames[mf.gradeLocked(id, y, pin, srv.feedback)]
 				mf.mu.Unlock()
 				if want := ref.ingest(id, y, pin); got != want {
 					t.Fatalf("trial %d op %d: label (%d, %q) graded %s, nested-map window %s", trial, op, id, pin, got, want)
@@ -297,43 +298,37 @@ func TestJoinWindowMatchesNestedMapWindow(t *testing.T) {
 			checkJoinWindow(t, mf, ref)
 		}
 		for _, v := range versions {
-			var brier, logloss []float64
-			for _, sm := range samples {
-				if sm.version == v {
-					brier, logloss = append(brier, sm.brier), append(logloss, sm.logloss)
-				}
-			}
-			if !slices.Equal(brier, ref.brier[v]) || !slices.Equal(logloss, ref.logloss[v]) {
-				t.Fatalf("trial %d: version %s histogram samples %v %v, nested-map window %v %v", trial, v,
-					brier, logloss, ref.brier[v], ref.logloss[v])
-			}
+			brier, logloss := ref.brier[v], ref.logloss[v]
 			st := mf.statsLocked(v)
 			if st == nil {
-				if len(ref.brier[v]) != 0 {
-					t.Fatalf("trial %d: version %s has no stats, nested-map window %d samples", trial, v, len(ref.brier[v]))
+				if len(brier) != 0 || len(logloss) != 0 {
+					t.Fatalf("trial %d: version %s has no stats, nested-map window %d samples", trial, v, len(brier))
 				}
 				continue
 			}
-			if st.brier.Total() != uint64(len(ref.brier[v])) ||
-				!sameFloat(st.brier.Mean(), refMean(ref.brier[v])) || !sameFloat(st.logloss.Mean(), refMean(ref.logloss[v])) {
-				t.Fatalf("trial %d: version %s window (%d, %v, %v), nested-map window (%d, %v, %v)", trial, v,
-					st.brier.Total(), st.brier.Mean(), st.logloss.Mean(),
-					len(ref.brier[v]), refMean(ref.brier[v]), refMean(ref.logloss[v]))
+			n := uint64(len(brier))
+			if st.labels != n || !sameFloat(st.brierMean(), refSum(brier)/float64(n)) {
+				t.Fatalf("trial %d: version %s window (%d, %v), nested-map window (%d, %v)", trial, v,
+					st.labels, st.brierMean(), n, refSum(brier)/float64(n))
+			}
+			bh, lh := st.brierHist, st.loglossHist
+			if bh.Count() != n || !sameFloat(bh.Sum(), refSum(brier)) ||
+				lh.Count() != uint64(len(logloss)) || !sameFloat(lh.Sum(), refSum(logloss)) {
+				t.Fatalf("trial %d: version %s histograms (%d, %v) (%d, %v), nested-map window (%d, %v) (%d, %v)", trial, v,
+					bh.Count(), bh.Sum(), lh.Count(), lh.Sum(), n, refSum(brier), len(logloss), refSum(logloss))
 			}
 		}
 	}
 }
 
-// refMean is metrics.Rolling's mean of an unwrapped window.
-func refMean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
+// refSum adds the contributions in order, as a lone writer's histogram
+// sum and an unwrapped window's mean add them.
+func refSum(samples []float64) float64 {
 	sum := 0.0
 	for _, v := range samples {
 		sum += v
 	}
-	return sum / float64(len(samples))
+	return sum
 }
 
 // versionOf is the version string of a ring entry, "" for an empty

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -182,6 +183,9 @@ func TestFeedbackErrorTable(t *testing.T) {
 		{"labels absent", `{"model":"m"}`, http.StatusBadRequest, "no labels to ingest"},
 		{"missing segment_id", `{"model":"m","labels":[{"crash_prone":true}]}`, http.StatusBadRequest, "label 0: missing segment_id"},
 		{"fractional segment_id", `{"model":"m","labels":[{"segment_id":1.5,"crash_prone":true}]}`, http.StatusBadRequest, "label 0: segment_id 1.5 is not an integer"},
+		{"segment_id 2^63", `{"model":"m","labels":[{"segment_id":9223372036854775808,"crash_prone":true}]}`, http.StatusBadRequest, "label 0: segment_id 9.223372036854776e+18 is not an integer in int64 range"},
+		{"segment_id 1e19", `{"model":"m","labels":[{"segment_id":1e19,"crash_prone":true}]}`, http.StatusBadRequest, "label 0: segment_id 1e+19 is not an integer in int64 range"},
+		{"segment_id -1e300", `{"model":"m","labels":[{"segment_id":1,"crash_prone":true},{"segment_id":-1e300,"crash_prone":true}]}`, http.StatusBadRequest, "label 1: segment_id -1e+300 is not an integer in int64 range"},
 		{"missing crash_prone", `{"model":"m","labels":[{"segment_id":1,"crash_prone":true},{"segment_id":2}]}`, http.StatusBadRequest, "label 1: missing crash_prone"},
 	} {
 		status, body := postJSON(t, srv.URL+"/feedback", tc.body)
@@ -218,6 +222,8 @@ func TestFeedbackDisabledByDefault(t *testing.T) {
 // matches once, matches again only after being re-scored, reports
 // duplicate while its label is already on the books, and unmatched when
 // it was never scored — or when its score was evicted by window overflow.
+// A row whose segment_id is not an integer in int64 range is scored but
+// never filed, so it neither takes a window slot nor matches a label.
 func TestFeedbackJoinOutcomes(t *testing.T) {
 	dir := t.TempDir()
 	writeLeafModel(t, dir, "m", 6, 2)
@@ -269,6 +275,69 @@ func TestFeedbackJoinOutcomes(t *testing.T) {
 		if !bytes.Contains(body, []byte(line+"\n")) {
 			t.Errorf("/metrics lacks %q", line)
 		}
+	}
+
+	// Ids with no join key: int64 would fold -1e300 and 1e19 onto
+	// math.MinInt64 and truncate 1.5 … 4.5 onto 1 … 4, keys that would
+	// evict id 9 from the 4-slot window. Unfiled, they leave id 9 to
+	// match, and the evicted or never-scored ids they would have folded
+	// onto stay unmatched.
+	scoreIDs(t, srv.URL, "m", 9)
+	var rows []string
+	for _, id := range []string{"-1e300", "1e19", "1.5", "2.5", "3.5", "4.5"} {
+		rows = append(rows, `{"aadt":1000,"segment_id":`+id+`}`)
+	}
+	status, raw := postJSON(t, srv.URL+"/score", `{"model":"m","segments":[`+strings.Join(rows, ",")+`]}`)
+	var sr ScoreResponse
+	if err := json.Unmarshal(raw, &sr); status != http.StatusOK || err != nil || len(sr.Scores) != len(rows) {
+		t.Fatalf("scoring ids with no join key: %d %s", status, raw)
+	}
+	resp = postLabels(t, srv.URL, "m", "", true, 9, math.MinInt64, 1, 2, 3)
+	if resp.Outcomes["matched"] != 1 || resp.Outcomes["unmatched"] != 4 {
+		t.Fatalf("labels after scoring ids with no join key: %v, want id 9 matched and 4 unmatched", resp.Outcomes)
+	}
+}
+
+// TestFeedbackUnknownModelsShareOneSeries pins that no client can grow
+// /metrics by naming models: the labels of every model the registry does
+// not hold are counted under model="", so 1,000 distinct unknown names
+// leave one unknown_model series, and 1,000 more leave the page the same
+// size. The 404 still names the model.
+func TestFeedbackUnknownModelsShareOneSeries(t *testing.T) {
+	dir := t.TempDir()
+	writeLeafModel(t, dir, "m", 6, 2)
+	reg := NewRegistry()
+	if _, err := reg.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(reg, Config{FeedbackWindow: 16})
+	do := func(method, path, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	send := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			name := fmt.Sprintf("nope-%d", i)
+			status, body := do(http.MethodPost, "/feedback", `{"model":"`+name+`","labels":[{"segment_id":1,"crash_prone":true}]}`)
+			if want := fmt.Sprintf(`unknown model \"%s\"`, name); status != http.StatusNotFound || !strings.Contains(body, want) {
+				t.Fatalf("feedback for %s: %d %s, want 404 containing %s", name, status, body, want)
+			}
+		}
+	}
+	send(0, 1000)
+	_, warm := do(http.MethodGet, "/metrics", "")
+	send(1000, 2000)
+	_, page := do(http.MethodGet, "/metrics", "")
+	if n := strings.Count(page, `outcome="unknown_model"`); n != 1 {
+		t.Errorf("/metrics holds %d unknown_model series, want 1", n)
+	}
+	if want := `crashprone_feedback_labels_total{model="",outcome="unknown_model"} 2000` + "\n"; !strings.Contains(page, want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+	if len(page) != len(warm) {
+		t.Errorf("/metrics grew from %d to %d bytes over 1,000 more unknown model names", len(warm), len(page))
 	}
 }
 

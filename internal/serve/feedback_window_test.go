@@ -2,18 +2,24 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"unsafe"
+
+	"roadcrash/internal/eval"
 )
 
-// This file pins the join window's footprint, shows that the read paths
-// of the feedback loop build no window, drives one window from several
-// goroutines, and benchmarks the loop through the handler.
+// This file pins the join window's footprint and a version row's Brier
+// window, shows that the read paths of the feedback loop build no window,
+// drives one window from several goroutines, and benchmarks the loop
+// through the handler.
 
 // TestJoinWindowFootprint pins the window's layout: a 24-byte entry with
 // no pointer, an index of the smallest power of two of at least twice the
@@ -59,6 +65,101 @@ func TestJoinWindowFootprint(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("%d records of fresh ids allocated %v times once the window existed", 64*window, allocs)
 	}
+}
+
+// TestVersionRowRollingWindow pins a version row's Brier window with a
+// RollingWindow of 4 and six labels: the mean is NaN before any label,
+// the window grows to 4 contributions and then overwrites its oldest, its
+// mean sums the live contributions in slice order, the label count keeps
+// the aged-out ones, and a non-finite contribution is dropped.
+func TestVersionRowRollingWindow(t *testing.T) {
+	dir := t.TempDir()
+	writeLeafModel(t, dir, "m", 6, 2) // serves 0.7
+	reg := NewRegistry()
+	if _, err := reg.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(reg, Config{FeedbackWindow: 64, RollingWindow: 4, MinFeedback: 1 << 30})
+	m, _ := reg.Get("m")
+	do := func(method, path, body string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	label := func(id int, y bool) {
+		t.Helper()
+		do(http.MethodPost, "/feedback", fmt.Sprintf(`{"model":"m","labels":[{"segment_id":%d,"crash_prone":%v}]}`, id, y))
+	}
+	healthz := func() map[string]any {
+		t.Helper()
+		var hz struct {
+			Drift map[string]map[string]any `json:"drift"`
+		}
+		if err := json.Unmarshal([]byte(do(http.MethodGet, "/healthz", "")), &hz); err != nil {
+			t.Fatal(err)
+		}
+		return hz.Drift["m"]
+	}
+	mf := srv.feedback.forModel("m")
+	check := func(step string, window []float64, next int, labels uint64) {
+		t.Helper()
+		mf.mu.Lock()
+		st := mf.statsLocked(m.Version)
+		mf.mu.Unlock()
+		sum := 0.0
+		for _, v := range window {
+			sum += v
+		}
+		want := sum / float64(len(window))
+		if st == nil || !slices.Equal(st.brier, window) || st.next != next || st.labels != labels || !sameFloat(st.brierMean(), want) {
+			t.Fatalf("%s: row %+v, want window %v (next %d, mean %v) and %d labels", step, st, window, next, want, labels)
+		}
+		if d := healthz(); d["brier_window"] != want || d["labels"] != float64(labels) {
+			t.Fatalf("%s: /healthz reports %v, want brier_window %v and %d labels", step, d, want, labels)
+		}
+	}
+
+	ids := make([]string, 6)
+	for i := range ids {
+		ids[i] = fmt.Sprintf(`{"aadt":1000,"segment_id":%d}`, i+1)
+	}
+	do(http.MethodPost, "/score", `{"model":"m","segments":[`+strings.Join(ids, ",")+`]}`)
+	mf.mu.Lock()
+	unlabelled := mf.versions[mf.versionLocked(m.Version)]
+	mf.mu.Unlock()
+	if unlabelled.brier != nil || !math.IsNaN(unlabelled.brierMean()) {
+		t.Fatalf("scored but unlabelled row %+v has a window or a mean", unlabelled)
+	}
+	if mean, labels := srv.versionBrier("m", m.Version); !math.IsNaN(mean) || labels != 0 {
+		t.Fatalf("unlabelled version's Brier = %v over %d labels, want NaN over 0", mean, labels)
+	}
+	if d := healthz(); d["brier_window"] != nil || d["labels"] != nil {
+		t.Fatalf("/healthz reports %v for an unlabelled version", d)
+	}
+
+	hit, miss := eval.BrierPoint(0.7, 1), eval.BrierPoint(0.7, 0)
+	label(1, true)
+	label(2, true)
+	label(3, false)
+	check("window filling", []float64{hit, hit, miss}, 0, 3)
+	label(4, false)
+	check("window full", []float64{hit, hit, miss, miss}, 0, 4)
+	label(5, false)
+	check("oldest overwritten", []float64{miss, hit, miss, miss}, 1, 5)
+	label(6, false)
+	check("second oldest overwritten", []float64{miss, miss, miss, miss}, 2, 6)
+
+	mf.mu.Lock()
+	st := mf.statsLocked(m.Version)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		st.addBrier(v)
+	}
+	mf.mu.Unlock()
+	check("non-finite contributions dropped", []float64{miss, miss, miss, miss}, 2, 6)
 }
 
 // TestFeedbackReadPathsAllocateNoWindow pins that only a recorded row
@@ -122,9 +223,11 @@ func TestFeedbackReadPathsAllocateNoWindow(t *testing.T) {
 
 // TestFeedbackConcurrentScoreAndLabel drives one model's window from four
 // scoring goroutines, each labelling its batches two batches late, while
-// other goroutines poll /healthz. The window holds every scored row, so
-// every label must match, none twice, and afterwards every valid ring
-// entry must be reachable from its id's index position.
+// other goroutines poll /healthz and /metrics, the latter rendering the
+// online series that grading creates under the model's lock. The window
+// holds every scored row, so every label must match, none twice, and
+// afterwards every valid ring entry must be reachable from its id's index
+// position.
 func TestFeedbackConcurrentScoreAndLabel(t *testing.T) {
 	const workers, batches, rows, lag = 4, 8, 256, 2
 	dir := t.TempDir()
@@ -142,7 +245,7 @@ func TestFeedbackConcurrentScoreAndLabel(t *testing.T) {
 
 	done := make(chan struct{})
 	var pollers sync.WaitGroup
-	for range 2 {
+	for _, path := range []string{"/healthz", "/healthz", "/metrics"} {
 		pollers.Add(1)
 		go func() {
 			defer pollers.Done()
@@ -153,9 +256,9 @@ func TestFeedbackConcurrentScoreAndLabel(t *testing.T) {
 				default:
 				}
 				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 				if rec.Code != http.StatusOK {
-					t.Errorf("GET /healthz: %d %s", rec.Code, rec.Body)
+					t.Errorf("GET %s: %d %s", path, rec.Code, rec.Body)
 					return
 				}
 			}

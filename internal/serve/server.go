@@ -75,8 +75,8 @@ type Config struct {
 	// 32 bytes when the window is a power of two; a model's window is
 	// allocated by its first scored row that carries a segment_id.
 	FeedbackWindow int
-	// RollingWindow is the sample count of the rolling online-metric
-	// windows (per-version Brier score and log-loss). Default 256.
+	// RollingWindow is the sample count of each model version's rolling
+	// Brier window. Default 256.
 	RollingWindow int
 	// MinFeedback is how many joined labels a model version needs before
 	// its drift baseline is pinned and before it can take part in a
@@ -240,8 +240,6 @@ type Server struct {
 
 	// Feedback-loop metrics, registered only when the loop is enabled.
 	fbLabels      *metrics.CounterVec    // {model, outcome}
-	onlineBrier   *metrics.HistogramVec  // {model, version}
-	onlineLogloss *metrics.HistogramVec  // {model, version}
 	brierWindow   *metrics.FloatGaugeVec // {model, version}
 	driftBaseline *metrics.FloatGaugeVec // {model}
 	driftAlarm    *metrics.GaugeVec      // {model}
@@ -287,10 +285,10 @@ func New(reg *Registry, cfg Config) *Server {
 		s.fbLabels = s.metrics.CounterVec("crashprone_feedback_labels_total",
 			"Feedback labels by model and join outcome (matched, duplicate, unmatched, unknown_model, unknown_version).",
 			"model", "outcome")
-		s.onlineBrier = s.metrics.HistogramVec("crashprone_online_brier",
+		s.feedback.onlineBrier = s.metrics.HistogramVec("crashprone_online_brier",
 			"Per-label Brier contributions of joined feedback, by model and version.",
 			brierBuckets, "model", "version")
-		s.onlineLogloss = s.metrics.HistogramVec("crashprone_online_logloss",
+		s.feedback.onlineLogloss = s.metrics.HistogramVec("crashprone_online_logloss",
 			"Per-label log-loss contributions of joined feedback, by model and version.",
 			loglossBuckets, "model", "version")
 		s.brierWindow = s.metrics.FloatGaugeVec("crashprone_online_brier_window",
