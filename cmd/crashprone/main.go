@@ -794,7 +794,7 @@ func cmdHotspots(args []string) error {
 	driftAfterRow := fs.Int("drift-after-row", 0, "stream row at which concept drift sets in (with -drift-shift)")
 	driftShift := fs.Float64("drift-shift", 0, "additive log-scale risk shift injected after -drift-after-row")
 	workers := fs.Int("workers", 0, "KDE fit workers (0 = GOMAXPROCS)")
-	top := fs.Int("top", 10, "print the N highest-risk cells of each surface")
+	top := fs.Int("top", 10, "print the N top-ranked cells (highest expected crash count) of each surface")
 	export := fs.String("export", "", "write the exported surface as a hotspot artifact at this path")
 	method := fs.String("method", geo.MethodKDE, "surface -export persists: kde or persistence")
 	name := fs.String("name", "", "exported artifact model name (default grid-<method>)")
@@ -859,11 +859,11 @@ func cmdHotspots(args []string) error {
 		if kk < 1 || kk > g.Cells() {
 			continue
 		}
-		kh, err := eval.HitRateAtK(kde.Risk, future, kk)
+		kh, err := eval.HitRateAtK(kde.RankKey(), future, kk)
 		if err != nil {
 			return err
 		}
-		ph, err := eval.HitRateAtK(pers.Risk, future, kk)
+		ph, err := eval.HitRateAtK(pers.RankKey(), future, kk)
 		if err != nil {
 			return err
 		}
@@ -874,7 +874,8 @@ func cmdHotspots(args []string) error {
 	for _, surf := range []*geo.Model{kde, pers} {
 		fmt.Printf("\ntop %d cells (%s):\n", *top, surf.Method)
 		for _, cr := range surf.TopCells(*top) {
-			fmt.Printf("  cell %5d  (%5.1f, %5.1f) km  risk %.4f\n", cr.Cell, cr.XKm, cr.YKm, cr.Risk)
+			fmt.Printf("  cell %5d  (%5.1f, %5.1f) km  expected crashes %6.2f  risk %.4f\n",
+				cr.Cell, cr.XKm, cr.YKm, surf.Rate[cr.Cell], cr.Risk)
 		}
 	}
 
@@ -883,11 +884,11 @@ func cmdHotspots(args []string) error {
 		if *method == geo.MethodPersistence {
 			model = pers
 		}
-		headlineKde, err := eval.HitRateAtK(kde.Risk, future, *k)
+		headlineKde, err := eval.HitRateAtK(kde.RankKey(), future, *k)
 		if err != nil {
 			return err
 		}
-		headlinePers, err := eval.HitRateAtK(pers.Risk, future, *k)
+		headlinePers, err := eval.HitRateAtK(pers.RankKey(), future, *k)
 		if err != nil {
 			return err
 		}

@@ -355,22 +355,30 @@ func (a *Artifact) Encode(w io.Writer) error {
 // the model payload so corrupt artifacts fail at load time rather than on
 // the first scoring request.
 func Decode(r io.Reader) (*Artifact, error) {
+	a, _, err := decodeModel(r)
+	return a, err
+}
+
+// decodeModel is Decode that also returns the learner the eager payload
+// decode produced.
+func decodeModel(r io.Reader) (*Artifact, Scorer, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("artifact: reading: %w", err)
+		return nil, nil, fmt.Errorf("artifact: reading: %w", err)
 	}
 	dec := json.NewDecoder(bytes.NewReader(b))
 	var a Artifact
 	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("artifact: decoding: %w", err)
+		return nil, nil, fmt.Errorf("artifact: decoding: %w", err)
 	}
 	if err := a.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if _, err := a.Model(); err != nil {
-		return nil, err
+	s, err := a.Model()
+	if err != nil {
+		return nil, nil, err
 	}
-	return &a, nil
+	return &a, s, nil
 }
 
 // WriteFile encodes the artifact to path.
@@ -388,14 +396,22 @@ func WriteFile(path string, a *Artifact) error {
 
 // ReadFile decodes the artifact at path.
 func ReadFile(path string) (*Artifact, error) {
+	a, _, err := ReadFileModel(path)
+	return a, err
+}
+
+// ReadFileModel decodes the artifact at path and also returns the learner
+// its validation decoded, the model Model would return. A loader that
+// serves the learner thus decodes the payload once, not twice.
+func ReadFileModel(path string) (*Artifact, Scorer, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("artifact: %w", err)
+		return nil, nil, fmt.Errorf("artifact: %w", err)
 	}
 	defer f.Close()
-	a, err := Decode(f)
+	a, s, err := decodeModel(f)
 	if err != nil {
-		return nil, fmt.Errorf("artifact: %s: %w", path, err)
+		return nil, nil, fmt.Errorf("artifact: %s: %w", path, err)
 	}
-	return a, nil
+	return a, s, nil
 }

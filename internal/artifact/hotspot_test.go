@@ -2,11 +2,14 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"roadcrash/internal/compiled"
+	"roadcrash/internal/eval"
 	"roadcrash/internal/geo"
 	"roadcrash/internal/rng"
 )
@@ -79,6 +82,84 @@ func TestHotspotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHotspotPayloadWithoutRateRanksOnRisk decodes a saturated surface
+// twice: as written today, with its per-cell rate, and with the rate key
+// removed from the payload, as artifacts written before the rate was
+// stored carry it. The first serves the rate order; the second keeps the
+// risk order those artifacts were served in, with the same risk bits.
+func TestHotspotPayloadWithoutRateRanksOnRisk(t *testing.T) {
+	g, err := geo.NewGrid(0, 0, 96, 96, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(5)
+	m := &geo.Model{Grid: g, Method: geo.MethodPersistence}
+	for c := 0; c < g.Cells(); c++ {
+		lambda := r.Float64() * 80 // about half the cells saturate at risk 1
+		m.Rate = append(m.Rate, lambda)
+		m.Risk = append(m.Risk, 1-math.Exp(-lambda))
+	}
+	a, err := New("grid-pers", KindHotspot, m, geo.Schema(), 0, 5, "cell_label", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(a.Payload, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["rate"]; !ok {
+		t.Fatal("payload carries no rate")
+	}
+	delete(fields, "rate")
+	legacy := *a
+	if legacy.Payload, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+
+	decode := func(a *Artifact) *geo.Model {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := a.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := back.Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.(*geo.Model)
+	}
+	cells := func(top []geo.CellRisk) []int32 {
+		out := make([]int32, len(top))
+		for i, c := range top {
+			out[i] = int32(c.Cell)
+		}
+		return out
+	}
+	current, old := decode(a), decode(&legacy)
+	if old.Rate != nil {
+		t.Fatalf("rate-less payload decoded a rate of %d cells", len(old.Rate))
+	}
+	n := g.Cells()
+	if got, want := cells(current.TopCells(n)), eval.TopKOrder(m.Rate); !slices.Equal(got, want) {
+		t.Fatalf("current payload serves %v, want the rate order %v", got, want)
+	}
+	if got, want := cells(old.TopCells(n)), eval.TopKOrder(m.Risk); !slices.Equal(got, want) {
+		t.Fatalf("rate-less payload serves %v, want the risk order %v", got, want)
+	}
+	if slices.Equal(eval.TopKOrder(m.Rate), eval.TopKOrder(m.Risk)) {
+		t.Fatal("rate and risk orders agree; the fixture tests nothing")
+	}
+	for c := range m.Risk {
+		if math.Float64bits(old.Risk[c]) != math.Float64bits(m.Risk[c]) {
+			t.Fatalf("cell %d: rate-less payload decodes risk %v, want %v", c, old.Risk[c], m.Risk[c])
+		}
+	}
+}
+
 // TestHotspotVersionGate pins the format gate: hotspot is a version-2
 // kind, so a version-1 envelope claiming one is corrupt by construction.
 func TestHotspotVersionGate(t *testing.T) {
@@ -116,6 +197,8 @@ func TestHotspotRejectsCorruptPayloads(t *testing.T) {
 	good := buf.String()
 	bad := map[string]string{
 		"truncated risk": strings.Replace(good, `"nx": 12`, `"nx": 13`, 1),
+		"short rate":     strings.Replace(good, `"risk": [`, `"rate": [1], "risk": [`, 1),
+		"negative rate":  strings.Replace(good, `"risk": [`, `"rate": [-1`+strings.Repeat(`, 0`, 143)+`], "risk": [`, 1),
 		"negative cell":  strings.Replace(good, `"cell_km": 8`, `"cell_km": -8`, 1),
 		"unknown method": strings.Replace(good, `"method": "kde"`, `"method": "psychic"`, 1),
 		"zero bandwidth": strings.Replace(good, `"bandwidth_km": 3`, `"bandwidth_km": 0`, 1),

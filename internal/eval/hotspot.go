@@ -1,9 +1,10 @@
 package eval
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Hotspot ranking metrics. The grid-cell workload scores every cell of the
@@ -15,18 +16,21 @@ import (
 // TopKOrder returns the indices of scores sorted descending, ties broken
 // by the lower index, so rankings are deterministic and independent of
 // sort internals. It is the one hotspot ranking: HitRateAtK scores a
-// ranking with it and geo.Model.TopCells serves one.
-func TopKOrder(scores []float64) []int {
-	idx := make([]int, len(scores))
+// ranking with it and geo.Model ranks its cells with it once. The indices
+// are int32, 4 bytes a cell, so scores must hold fewer than 2^31 values;
+// a geo.Grid never has more cells. A NaN score ranks last.
+func TopKOrder(scores []float64) []int32 {
+	idx := make([]int32, len(scores))
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		sa, sb := scores[idx[a]], scores[idx[b]]
-		if sa != sb {
-			return sa > sb
+	// The comparison is a total order (no two indices compare equal), so
+	// an unstable sort gives the one deterministic result.
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a, b)
 	})
 	return idx
 }

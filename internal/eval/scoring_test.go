@@ -2,6 +2,9 @@ package eval
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -36,6 +39,67 @@ func TestHitRateAtK(t *testing.T) {
 	full, err := HitRateAtK(scores, crashes, 4)
 	if err != nil || full != 1 {
 		t.Fatalf("HitRateAtK full coverage = %v, %v", full, err)
+	}
+}
+
+// sliceStableOrder is TopKOrder as it was written before the index sort:
+// a reflection-based stable sort of int indices, the reference that
+// TestTopKOrderMatchesStableSort pins the current ranking to.
+func sliceStableOrder(scores []float64) []int {
+	idx := make([]int, len(scores))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		sa, sb := scores[idx[a]], scores[idx[b]]
+		if sa != sb {
+			return sa > sb
+		}
+		return idx[a] < idx[b]
+	})
+	return idx
+}
+
+// TestTopKOrderMatchesStableSort compares TopKOrder with the stable sort
+// it replaced on NaN-free surfaces shaped like hotspot risk: many exact
+// ties (saturated cells at 1, empty cells at 0, a few repeated levels)
+// among distinct values, and signed zeros, which compare equal.
+func TestTopKOrderMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 23))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.IntN(1100)
+		scores := make([]float64, n)
+		for i := range scores {
+			switch r.IntN(6) {
+			case 0:
+				scores[i] = 1
+			case 1:
+				scores[i] = 0
+			case 2:
+				scores[i] = math.Copysign(0, -1)
+			case 3:
+				scores[i] = float64(r.IntN(4)) / 4
+			default:
+				scores[i] = r.Float64()
+			}
+		}
+		got, want := TopKOrder(scores), sliceStableOrder(scores)
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("trial %d (n=%d): rank %d is cell %d, stable sort ranks cell %d",
+					trial, n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestTopKOrderNaNLast pins where a NaN score ranks: after every number,
+// NaNs among themselves by index.
+func TestTopKOrderNaNLast(t *testing.T) {
+	nan := math.NaN()
+	got := TopKOrder([]float64{nan, 0.2, nan, 0.9, 0.2})
+	if want := []int32{3, 1, 4, 0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("TopKOrder with NaNs = %v, want %v", got, want)
 	}
 }
 

@@ -46,19 +46,24 @@ func NewGrid(minX, minY, widthKm, heightKm, cellKm float64) (Grid, error) {
 		NX:     int(math.Ceil(widthKm / cellKm)),
 		NY:     int(math.Ceil(heightKm / cellKm)),
 	}
-	if g.NX <= 0 || g.NY <= 0 {
-		return Grid{}, fmt.Errorf("geo: degenerate grid %d × %d", g.NX, g.NY)
+	if err := g.Validate(); err != nil {
+		return Grid{}, err
 	}
 	return g, nil
 }
 
-// Validate reports structural errors in a deserialized grid.
+// Validate reports structural errors in a grid, built by NewGrid or
+// deserialized.
 func (g Grid) Validate() error {
 	if g.CellKm <= 0 || math.IsNaN(g.CellKm) || math.IsInf(g.CellKm, 0) {
 		return fmt.Errorf("geo: cell size %v km, want a positive finite value", g.CellKm)
 	}
 	if g.NX <= 0 || g.NY <= 0 {
 		return fmt.Errorf("geo: degenerate grid %d × %d", g.NX, g.NY)
+	}
+	if g.NX > math.MaxInt32/g.NY {
+		// Cells are ranked by int32 index (eval.TopKOrder).
+		return fmt.Errorf("geo: grid %d × %d has more than 2^31-1 cells", g.NX, g.NY)
 	}
 	if math.IsNaN(g.MinX) || math.IsNaN(g.MinY) || math.IsInf(g.MinX, 0) || math.IsInf(g.MinY, 0) {
 		return fmt.Errorf("geo: grid origin (%v, %v) not finite", g.MinX, g.MinY)

@@ -33,6 +33,7 @@ func TestNewGridErrors(t *testing.T) {
 		{0, 0, 96, 96, math.NaN()},
 		{0, 0, 0, 96, 1},
 		{0, 0, 96, -5, 1},
+		{0, 0, 1e6, 1e6, 1e-2}, // 10^16 cells: more than an int32 ranks
 	}
 	for i, c := range bad {
 		if _, err := NewGrid(c[0], c[1], c[2], c[3], c[4]); err == nil {
@@ -55,6 +56,7 @@ func TestGridValidate(t *testing.T) {
 		"infinite cell":   func(g *Grid) { g.CellKm = math.Inf(1) },
 		"no columns":      func(g *Grid) { g.NX = 0 },
 		"negative rows":   func(g *Grid) { g.NY = -1 },
+		"2^32 cells":      func(g *Grid) { g.NX, g.NY = 1<<16, 1<<16 },
 		"NaN origin":      func(g *Grid) { g.MinX = math.NaN() },
 		"infinite origin": func(g *Grid) { g.MinY = math.Inf(-1) },
 	} {

@@ -35,8 +35,9 @@ const kdeCutoffSigmas = 4
 // each training-period crash spreads a Gaussian kernel of the configured
 // bandwidth, the resulting intensity is normalized to the training
 // period's total crash mass scaled by scale (the expected next-period /
-// training-period exposure ratio; pass 1 for equal periods), and each
-// cell's risk is P(≥1 crash) = 1 - exp(-expected crashes in cell).
+// training-period exposure ratio; pass 1 for equal periods) into each
+// cell's expected crash count λ (Rate), and each cell's risk is
+// P(≥1 crash) = 1 - exp(-λ).
 func FitKDE(g Grid, train []Observation, scale float64, opt KDEOptions) (*Model, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -75,25 +76,27 @@ func FitKDE(g Grid, train []Observation, scale float64, opt KDEOptions) (*Model,
 	for _, v := range raw {
 		mass += v
 	}
-	risk := make([]float64, len(raw))
+	rate := make([]float64, len(raw))
 	if mass > 0 {
 		norm := total * scale / mass
 		for c, v := range raw {
-			risk[c] = riskFromExpected(v * norm)
+			rate[c] = v * norm
 		}
 	}
 	return &Model{
 		Grid:        g,
 		Method:      MethodKDE,
 		BandwidthKm: opt.BandwidthKm,
-		Risk:        risk,
+		Risk:        risksFromExpected(rate),
+		Rate:        rate,
 	}, nil
 }
 
 // FitPersistence fits the persistence baseline: a cell's expected
-// next-period crash count is its own training-period count (scaled by
-// scale), risk-transformed exactly as the KDE surface is. This is the
-// "treat last period's black spots" strategy the KDE baseline has to beat.
+// next-period crash count λ (Rate) is its own training-period count
+// (scaled by scale), risk-transformed exactly as the KDE surface is. This
+// is the "treat last period's black spots" strategy the KDE baseline has
+// to beat.
 func FitPersistence(g Grid, train []Observation, scale float64) (*Model, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -101,12 +104,11 @@ func FitPersistence(g Grid, train []Observation, scale float64) (*Model, error) 
 	if err := checkScale(scale); err != nil {
 		return nil, err
 	}
-	counts := g.Counts(train)
-	risk := make([]float64, len(counts))
-	for c, v := range counts {
-		risk[c] = riskFromExpected(v * scale)
+	rate := g.Counts(train)
+	for c := range rate {
+		rate[c] *= scale
 	}
-	return &Model{Grid: g, Method: MethodPersistence, Risk: risk}, nil
+	return &Model{Grid: g, Method: MethodPersistence, Risk: risksFromExpected(rate), Rate: rate}, nil
 }
 
 func checkScale(scale float64) error {
@@ -116,8 +118,13 @@ func checkScale(scale float64) error {
 	return nil
 }
 
-// riskFromExpected converts an expected crash count into the probability
-// of at least one crash under a Poisson arrival model.
-func riskFromExpected(lambda float64) float64 {
-	return 1 - math.Exp(-lambda)
+// risksFromExpected converts per-cell expected crash counts λ into the
+// probability of at least one crash under a Poisson arrival model,
+// 1 - exp(-λ).
+func risksFromExpected(rate []float64) []float64 {
+	risk := make([]float64, len(rate))
+	for c, lambda := range rate {
+		risk[c] = 1 - math.Exp(-lambda)
+	}
+	return risk
 }

@@ -106,9 +106,10 @@ func TestKDEDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for c := range ref.Risk {
-			if math.Float64bits(ref.Risk[c]) != math.Float64bits(got.Risk[c]) {
-				t.Fatalf("workers=%d: cell %d risk %v vs %v — surface not bit-identical",
-					workers, c, got.Risk[c], ref.Risk[c])
+			if math.Float64bits(ref.Risk[c]) != math.Float64bits(got.Risk[c]) ||
+				math.Float64bits(ref.Rate[c]) != math.Float64bits(got.Rate[c]) {
+				t.Fatalf("workers=%d: cell %d risk %v rate %v vs risk %v rate %v — surface not bit-identical",
+					workers, c, got.Risk[c], got.Rate[c], ref.Risk[c], ref.Rate[c])
 			}
 		}
 	}
@@ -136,6 +137,47 @@ func TestKDESurfaceWellFormed(t *testing.T) {
 	}
 	if hi == 0 || lo == 0 {
 		t.Fatalf("degenerate surface: %d risky, %d quiet of %d cells", hi, lo, len(m.Risk))
+	}
+}
+
+// TestFitsStoreRate pins what both fits store per cell: the expected
+// crash count λ (for persistence, the scaled training count) and the
+// risk 1 - exp(-λ) derived from it, bit for bit. The study stream's
+// busiest cells have λ large enough that their risk rounds to exactly 1,
+// which is why cells rank on λ.
+func TestFitsStoreRate(t *testing.T) {
+	obs := streamObservations(t, 20000, 20110322)
+	g := studyGrid(t, 3)
+	kde, err := FitKDE(g, obs, 1.5, DefaultKDEOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pers, err := FitPersistence(g, obs, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := g.Counts(obs)
+	saturated := 0
+	for _, m := range []*Model{kde, pers} {
+		if err := m.Validate(2); err != nil {
+			t.Fatalf("%s: %v", m.Method, err)
+		}
+		for c, lambda := range m.Rate {
+			if want := 1 - math.Exp(-lambda); math.Float64bits(m.Risk[c]) != math.Float64bits(want) {
+				t.Fatalf("%s cell %d: risk %v, want 1 - exp(-%v) = %v", m.Method, c, m.Risk[c], lambda, want)
+			}
+			if m.Risk[c] == 1 {
+				saturated++
+			}
+		}
+	}
+	for c, n := range counts {
+		if pers.Rate[c] != n*1.5 {
+			t.Fatalf("persistence cell %d: rate %v, want %v crashes × 1.5", c, pers.Rate[c], n)
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no cell's risk saturates at 1; the fixture no longer exercises the rate ranking")
 	}
 }
 
@@ -194,11 +236,11 @@ func TestKDEBeatsPersistence(t *testing.T) {
 		}
 		future := g.Counts(test)
 		const k = 64
-		kdeHit, err := eval.HitRateAtK(kde.Risk, future, k)
+		kdeHit, err := eval.HitRateAtK(kde.RankKey(), future, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		persHit, err := eval.HitRateAtK(pers.Risk, future, k)
+		persHit, err := eval.HitRateAtK(pers.RankKey(), future, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"roadcrash/internal/data"
 	"roadcrash/internal/eval"
@@ -19,7 +20,8 @@ const (
 // probability of at least one crash in the cell next period, and ranks
 // cells for the /hotspots endpoint. The surface is already flat, so the
 // model is its own compiled form: PredictProb and ScoreColumns are plain
-// array lookups.
+// array lookups. The cell ranking is computed once, on the first TopCells
+// call, so the exported fields must not change after that.
 type Model struct {
 	Grid        Grid    `json:"grid"`
 	Method      string  `json:"method"`
@@ -27,6 +29,15 @@ type Model struct {
 	// Risk holds the per-cell probability of ≥1 crash next period, indexed
 	// like Grid cells (row-major).
 	Risk []float64 `json:"risk"`
+	// Rate holds the per-cell expected next-period crash count λ the risk
+	// was derived from (Risk = 1 - exp(-λ)), indexed like Risk. Risk
+	// rounds to exactly 1 once λ reaches about 37, so cells are ranked on
+	// Rate. It is nil for a surface decoded from an artifact written
+	// before the rate was stored, which ranks on Risk.
+	Rate []float64 `json:"rate,omitempty"`
+
+	rankOnce sync.Once
+	order    []int32 // cell indices, highest RankKey first
 }
 
 // Schema returns the two-column coordinate schema hotspot artifacts carry:
@@ -92,6 +103,17 @@ func (m *Model) Validate(cols int) error {
 			return fmt.Errorf("geo: cell %d risk %v outside [0, 1]", c, r)
 		}
 	}
+	if m.Rate == nil {
+		return nil
+	}
+	if len(m.Rate) != len(m.Risk) {
+		return fmt.Errorf("geo: %d rate cells for %d risk cells", len(m.Rate), len(m.Risk))
+	}
+	for c, r := range m.Rate {
+		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+			return fmt.Errorf("geo: cell %d rate %v, want finite and >= 0", c, r)
+		}
+	}
 	return nil
 }
 
@@ -104,22 +126,33 @@ type CellRisk struct {
 	Risk float64 `json:"risk"`
 }
 
-// TopCells returns the k highest-risk cells with their center coordinates,
-// ordered by descending risk with ties broken on the lower cell index. It
-// ranks with eval.TopKOrder, the ranking the offline hit-rate evaluation
-// uses, so a served artifact and an in-process fit agree exactly. k beyond
-// the cell count is clamped.
+// RankKey returns the per-cell values the cells are ranked on: the
+// expected crash count Rate, or Risk when the surface carries no rate.
+// TopCells serves this ranking, and an offline hit rate that scores the
+// served cells passes RankKey to eval.HitRateAtK.
+func (m *Model) RankKey() []float64 {
+	if m.Rate != nil {
+		return m.Rate
+	}
+	return m.Risk
+}
+
+// TopCells returns the k highest-ranked cells with their center
+// coordinates and risk, ordered by descending RankKey with ties broken on
+// the lower cell index. The order is computed once, with eval.TopKOrder —
+// the ranking the offline hit-rate evaluation uses — on the first call;
+// every call copies a prefix of it, so a served artifact and an
+// in-process fit agree exactly. k beyond the cell count is clamped.
 func (m *Model) TopCells(k int) []CellRisk {
 	if k <= 0 {
 		return nil
 	}
-	if k > len(m.Risk) {
-		k = len(m.Risk)
-	}
+	m.rankOnce.Do(func() { m.order = eval.TopKOrder(m.RankKey()) })
+	k = min(k, len(m.order))
 	out := make([]CellRisk, k)
-	for i, c := range eval.TopKOrder(m.Risk)[:k] {
-		x, y := m.Grid.Center(c)
-		out[i] = CellRisk{Cell: c, XKm: x, YKm: y, Risk: m.Risk[c]}
+	for i, c := range m.order[:k] {
+		x, y := m.Grid.Center(int(c))
+		out[i] = CellRisk{Cell: int(c), XKm: x, YKm: y, Risk: m.Risk[c]}
 	}
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"roadcrash/internal/data"
@@ -105,6 +107,24 @@ func TestModelValidate(t *testing.T) {
 	if err := bad.Validate(2); err == nil {
 		t.Error("degenerate grid should error")
 	}
+	good := testModel(t)
+	good.Rate = []float64{0.1, 40, 50, 0}
+	if err := good.Validate(2); err != nil {
+		t.Fatalf("valid rate rejected: %v", err)
+	}
+	for name, rate := range map[string][]float64{
+		"short rate":    {0.1, 40, 50},
+		"empty rate":    {},
+		"NaN rate":      {0.1, math.NaN(), 50, 0},
+		"infinite rate": {0.1, math.Inf(1), 50, 0},
+		"negative rate": {0.1, 40, -1, 0},
+	} {
+		bad = testModel(t)
+		bad.Rate = rate
+		if err := bad.Validate(2); err == nil {
+			t.Errorf("%s %v accepted", name, rate)
+		}
+	}
 }
 
 func TestTopCells(t *testing.T) {
@@ -127,10 +147,49 @@ func TestTopCells(t *testing.T) {
 	if got := m.TopCells(0); got != nil {
 		t.Fatalf("TopCells(0) = %v, want nil", got)
 	}
+	// The order was ranked by the first call: later calls only copy a
+	// prefix of it into the one returned slice.
+	if n := testing.AllocsPerRun(100, func() { m.TopCells(2) }); n != 1 {
+		t.Fatalf("TopCells after first use allocates %v times, want 1", n)
+	}
+}
+
+// TestTopCellsRanksOnRate pins the ranking key: risk 1 - exp(-λ) is
+// exactly 1 for every cell here, so a risk ranking would fall back to
+// index order, while the cells rank on the expected crash count λ (ties
+// on the lower index). Without a rate the same surface ranks on risk.
+func TestTopCellsRanksOnRate(t *testing.T) {
+	m := testModel(t)
+	m.Risk = []float64{1, 1, 1, 1}
+	m.Rate = []float64{40, 90, 55, 90}
+	var got []int
+	for _, c := range m.TopCells(4) {
+		got = append(got, c.Cell)
+		if c.Risk != 1 {
+			t.Fatalf("cell %d serves risk %v, want its risk 1", c.Cell, c.Risk)
+		}
+	}
+	if want := []int{1, 3, 2, 0}; !slices.Equal(got, want) {
+		t.Fatalf("rate-ranked cells = %v, want %v", got, want)
+	}
+	if key := m.RankKey(); &key[0] != &m.Rate[0] {
+		t.Fatal("RankKey is not the rate")
+	}
+
+	old := testModel(t)
+	old.Risk = []float64{1, 1, 1, 1}
+	got = got[:0]
+	for _, c := range old.TopCells(4) {
+		got = append(got, c.Cell)
+	}
+	if want := []int{0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("risk-ranked cells without a rate = %v, want %v", got, want)
+	}
 }
 
 func TestModelJSONRoundTrip(t *testing.T) {
 	m := testModel(t)
+	m.Rate = []float64{0.1, 2.3, 2.3, 0.5}
 	b, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +202,28 @@ func TestModelJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Grid != m.Grid || back.Method != m.Method || len(back.Risk) != len(m.Risk) {
-		t.Fatalf("round trip changed the model: %+v vs %+v", back, m)
+		t.Fatalf("round trip changed the model: %+v vs %+v", &back, m)
 	}
 	for c := range m.Risk {
-		if back.Risk[c] != m.Risk[c] {
-			t.Fatalf("cell %d risk drifted: %v vs %v", c, back.Risk[c], m.Risk[c])
+		if back.Risk[c] != m.Risk[c] || back.Rate[c] != m.Rate[c] {
+			t.Fatalf("cell %d drifted: risk %v rate %v vs risk %v rate %v",
+				c, back.Risk[c], back.Rate[c], m.Risk[c], m.Rate[c])
 		}
+	}
+	// A surface without a rate writes no rate key and reads back without
+	// one, so it keeps ranking on risk.
+	m.Rate = nil
+	if b, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), `"rate"`) {
+		t.Fatalf("rate-less surface encodes a rate: %s", b)
+	}
+	var noRate Model
+	if err := json.Unmarshal(b, &noRate); err != nil {
+		t.Fatal(err)
+	}
+	if noRate.Rate != nil || &noRate.RankKey()[0] != &noRate.Risk[0] {
+		t.Fatalf("rate-less round trip ranks on %v", noRate.RankKey())
 	}
 }

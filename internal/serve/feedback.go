@@ -115,8 +115,11 @@ func (e *scoreEntry) version() int32 { return int32(e.tag & entryVersion) }
 // holds the last RollingWindow Brier contributions: it grows to that
 // length, then next is its oldest slot, which the next contribution
 // overwrites. labels counts every contribution, aged-out ones included.
-// brierHist and loglossHist are the version's crashprone_online_brier and
-// crashprone_online_logloss series, looked up at its first match.
+// graded marks a row the current label batch graded. brierHist and
+// loglossHist are the version's crashprone_online_brier and
+// crashprone_online_logloss series, looked up at its first match, and
+// windowGauge its crashprone_online_brier_window series, looked up when
+// the window is first published.
 type versionStats struct {
 	version                string
 	brier                  []float64
@@ -124,7 +127,9 @@ type versionStats struct {
 	labels                 uint64
 	baseline               float64
 	pinned                 bool
+	graded                 bool
 	brierHist, loglossHist *metrics.Histogram
+	windowGauge            *metrics.FloatGauge
 }
 
 // addBrier puts one Brier contribution into the window. A non-finite one
@@ -158,6 +163,19 @@ func (st *versionStats) brierMean() float64 {
 	return sum / float64(len(st.brier))
 }
 
+// publishWindow sets the version's crashprone_online_brier_window gauge
+// to w, its windowed Brier. An empty window's NaN is not published, so
+// no series reads a placeholder as a score. Caller holds mf.mu.
+func (st *versionStats) publishWindow(w float64, model string, f *feedbackState) {
+	if math.IsNaN(w) {
+		return
+	}
+	if st.windowGauge == nil {
+		st.windowGauge = f.onlineBrierWindow.With(model, st.version)
+	}
+	st.windowGauge.Set(w)
+}
+
 // modelFeedback is one model's join window and drift state. The ring
 // holds the last FeedbackWindow served scores across all versions
 // (incumbent and shadow share it). The index is an open-addressing table
@@ -182,15 +200,16 @@ type modelFeedback struct {
 }
 
 // feedbackState is the server's feedback subsystem: per-model join
-// windows plus the currently staged shadow candidate set. onlineBrier and
-// onlineLogloss are the {model, version} histogram families that each
-// version row takes its two series from.
+// windows plus the currently staged shadow candidate set. onlineBrier,
+// onlineLogloss and onlineBrierWindow are the {model, version} families
+// that each version row takes its three series from.
 type feedbackState struct {
 	window  int
 	rolling int
 	min     int
 
 	onlineBrier, onlineLogloss *metrics.HistogramVec
+	onlineBrierWindow          *metrics.FloatGaugeVec
 
 	mu     sync.Mutex
 	models map[string]*modelFeedback
@@ -400,6 +419,7 @@ func (mf *modelFeedback) gradeLocked(id int64, y float64, version string, f *fee
 		}
 		e.tag |= entryMatched
 		fresh++
+		st.graded = true
 		if st.brier == nil {
 			st.brier = make([]float64, 0, f.rolling)
 			st.brierHist = f.onlineBrier.With(mf.name, st.version)
@@ -420,6 +440,20 @@ func (mf *modelFeedback) gradeLocked(id int64, y float64, version string, f *fee
 		return outcomeDuplicate
 	default:
 		return outcomeUnmatched
+	}
+}
+
+// publishGradedLocked publishes the windowed Brier of every version the
+// label batch just graded, a staged candidate's included, and clears the
+// batch's marks. The serving version is left to evaluateDrift, which
+// publishes it with the mean it judges drift on. Caller holds mf.mu.
+func (mf *modelFeedback) publishGradedLocked(serving string, f *feedbackState) {
+	for i := range mf.versions {
+		st := &mf.versions[i]
+		if st.graded && st.version != serving {
+			st.publishWindow(st.brierMean(), mf.name, f)
+		}
+		st.graded = false
 	}
 }
 
@@ -451,12 +485,10 @@ func (s *Server) evaluateDrift(name, version string) bool {
 			mf.firing = false
 		}
 	}
+	st.publishWindow(w, name, s.feedback)
 	firing, pinned, baseline := mf.firing, st.pinned, st.baseline
 	mf.mu.Unlock()
 
-	if !math.IsNaN(w) {
-		s.brierWindow.With(name, version).Set(w)
-	}
 	if pinned {
 		s.driftBaseline.With(name).Set(baseline)
 	}
@@ -565,9 +597,10 @@ func putFeedbackBufs(b *feedbackBufs) {
 // is read whole into a pooled buffer and decoded in one pass, here into
 // pooled label columns. The request is validated whole before any label
 // is applied, every label is graded matched/duplicate/unmatched against
-// the join window under one hold of the model's lock, the model's drift
-// alarm is re-evaluated, and — with AutoPromote on — the promotion gate
-// runs.
+// the join window under one hold of the model's lock, which then
+// publishes the windowed Brier of each version the batch graded, the
+// model's drift alarm is re-evaluated, and — with AutoPromote on — the
+// promotion gate runs.
 func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 	bufs := feedbackBufPool.Get().(*feedbackBufs)
 	defer putFeedbackBufs(bufs)
@@ -591,6 +624,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 		key, _ := segmentKey(id) // parseFeedback admitted only ids with a key
 		counts[mf.gradeLocked(key, fr.Labels[i], fr.Version, s.feedback)]++
 	}
+	mf.publishGradedLocked(m.Version, s.feedback)
 	mf.mu.Unlock()
 	outcomes := make(map[string]int, len(counts))
 	for o, n := range counts {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -562,6 +563,94 @@ func TestShadowPromotionGateAndCommit(t *testing.T) {
 	if fbResp.Outcomes["duplicate"] != 1 {
 		t.Fatalf("late label for the replaced version: %v", fbResp.Outcomes)
 	}
+}
+
+// brierWindowGauges reads the crashprone_online_brier_window series of
+// one model from /metrics, keyed by version.
+func brierWindowGauges(t *testing.T, url, model string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := `crashprone_online_brier_window{model="` + model + `",version="`
+	gauges := map[string]float64{}
+	for _, line := range strings.Split(string(text), "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		version, value, ok := strings.Cut(rest, `"} `)
+		if !ok {
+			t.Fatalf("unparsable series %q", line)
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("series %q: %v", line, err)
+		}
+		gauges[version] = v
+	}
+	return gauges
+}
+
+// getShadow decodes GET /shadow.
+func getShadow(t *testing.T, url string) ShadowStatus {
+	t.Helper()
+	resp, err := http.Get(url + "/shadow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status ShadowStatus
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	return status
+}
+
+// TestShadowCandidateWindowOnMetrics pins that a staged candidate's
+// windowed Brier reaches /metrics while the gate judges it: after each
+// label batch, crashprone_online_brier_window carries every version the
+// batch graded, equal to the windowed Briers GET /shadow reports.
+func TestShadowCandidateWindowOnMetrics(t *testing.T) {
+	dir := t.TempDir()
+	writeLeafModel(t, dir, "m", 6, 2) // incumbent serves 0.7
+	srv := newFeedbackServer(t, dir, Config{FeedbackWindow: 256, RollingWindow: 10, MinFeedback: 10, ReloadDir: dir})
+	incumbent := modelVersion(t, srv.URL, "m")
+	writeLeafModel(t, dir, "m", 2, 6) // candidate serves 0.3
+	if status, body := postJSON(t, srv.URL+"/shadow", ""); status != http.StatusOK {
+		t.Fatalf("shadow stage: %d %s", status, body)
+	}
+	candidate := getShadow(t, srv.URL).Candidates[0].CandidateVersion
+
+	check := func(step string) {
+		t.Helper()
+		cs := getShadow(t, srv.URL).Candidates[0]
+		gauges := brierWindowGauges(t, srv.URL, "m")
+		for version, want := range map[string]float64{incumbent: cs.IncumbentBrier, candidate: cs.CandidateBrier} {
+			got, ok := gauges[version]
+			if !ok {
+				t.Fatalf("%s: /metrics has no window series for version %s (have %v)", step, version, gauges)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: version %s window gauge %v, /shadow says %v", step, version, got, want)
+			}
+		}
+	}
+	ids := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	scoreIDs(t, srv.URL, "m", ids...)
+	postLabels(t, srv.URL, "m", "", false, ids...)
+	check("after an unpinned batch")
+
+	// A batch pinned to the candidate grades it alone; its gauge follows.
+	scoreIDs(t, srv.URL, "m", 11)
+	postLabels(t, srv.URL, "m", candidate, true, 11)
+	check("after a candidate-pinned batch")
 }
 
 // TestShadowLosingCandidateNeverPromotes pins the gate's whole point: a

@@ -29,12 +29,13 @@ import (
 	"roadcrash/internal/data"
 )
 
-// Model is one servable entry: the decoded artifact, its learner and the
-// row mapper aligning request attributes to the training schema. All
-// fields are read-only after load. Scorer is the compiled evaluation form
-// (flat trees, precomputed Bayes tables, fused ensembles) — compilation
-// happens once at load, predictions stay bit-identical to the interpreted
-// learner, and every request scores against the compiled engine.
+// Model is one servable entry: the artifact's header (its payload is
+// dropped once decoded), its learner and the row mapper aligning request
+// attributes to the training schema. All fields are read-only after
+// load. Scorer is the compiled evaluation form (flat trees, precomputed
+// Bayes tables, fused ensembles) — compilation happens once at load,
+// predictions stay bit-identical to the interpreted learner, and every
+// request scores against the compiled engine.
 type Model struct {
 	Artifact *artifact.Artifact
 	Scorer   compiled.ColumnScorer
@@ -64,13 +65,12 @@ type Model struct {
 	fbSegCol int
 }
 
-// buildModel decodes an artifact's learner, compiles it and builds its
-// row mapper.
-func buildModel(a *artifact.Artifact) (*Model, error) {
-	scorer, err := a.Model()
-	if err != nil {
-		return nil, err
-	}
+// buildModel compiles an artifact's decoded learner and builds its row
+// mapper. The model keeps a copy of the artifact's header without its
+// payload: once decoded and hashed into Version, the payload bytes are
+// not read again, so a loaded model does not hold them. The caller's
+// artifact is not changed.
+func buildModel(a *artifact.Artifact, scorer artifact.Scorer) (*Model, error) {
 	cs, err := compiled.Compile(scorer)
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", a.Name, err)
@@ -88,8 +88,10 @@ func buildModel(a *artifact.Artifact) (*Model, error) {
 		return nil, err
 	}
 	sum := sha256.Sum256(buf.Bytes())
+	header := *a
+	header.Payload = nil
 	return &Model{
-		Artifact: a, Scorer: cs, Mapper: mapper,
+		Artifact: &header, Scorer: cs, Mapper: mapper,
 		Version: hex.EncodeToString(sum[:6]), schemaLevels: levels,
 	}, nil
 }
@@ -113,7 +115,26 @@ func NewRegistry() *Registry {
 // model (in-place single-model rollover); requests already scoring against
 // the old model finish on it.
 func (r *Registry) Register(a *artifact.Artifact) (*Model, error) {
-	m, err := buildModel(a)
+	scorer, err := a.Model()
+	if err != nil {
+		return nil, err
+	}
+	return r.add(a, scorer)
+}
+
+// LoadFile reads, validates and registers one artifact file.
+func (r *Registry) LoadFile(path string) (*Model, error) {
+	a, scorer, err := artifact.ReadFileModel(path)
+	if err != nil {
+		return nil, err
+	}
+	return r.add(a, scorer)
+}
+
+// add builds the model of a decoded artifact and puts it under the
+// artifact's name.
+func (r *Registry) add(a *artifact.Artifact, scorer artifact.Scorer) (*Model, error) {
+	m, err := buildModel(a, scorer)
 	if err != nil {
 		return nil, err
 	}
@@ -121,15 +142,6 @@ func (r *Registry) Register(a *artifact.Artifact) (*Model, error) {
 	r.models[a.Name] = m
 	r.mu.Unlock()
 	return m, nil
-}
-
-// LoadFile reads, validates and registers one artifact file.
-func (r *Registry) LoadFile(path string) (*Model, error) {
-	a, err := artifact.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return r.Register(a)
 }
 
 // loadModels reads and decodes every *.json artifact in dir into a fresh
@@ -149,11 +161,11 @@ func loadModels(dir string) (map[string]*Model, []string, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
-		a, err := artifact.ReadFile(filepath.Join(dir, e.Name()))
+		a, scorer, err := artifact.ReadFileModel(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: loading %s: %w", e.Name(), err)
 		}
-		m, err := buildModel(a)
+		m, err := buildModel(a, scorer)
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: loading %s: %w", e.Name(), err)
 		}

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -202,6 +205,68 @@ func TestModelsAndHealthz(t *testing.T) {
 	}
 	if status.Status != "ok" || status.Models != 1 {
 		t.Fatalf("healthz = %+v", status)
+	}
+}
+
+// TestLoadedModelDropsPayload pins what a loaded model keeps of its
+// artifact: the header without the payload bytes, which are decoded and
+// hashed at load and never read again. The caller's artifact keeps its
+// payload, Version is still the hash of the whole artifact, and /models
+// reports the header as before.
+func TestLoadedModelDropsPayload(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := fixture(t, dir)
+	payload := bytes.Clone(a.Payload)
+	var enc bytes.Buffer
+	if err := a.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(enc.Bytes())
+	version := hex.EncodeToString(sum[:6])
+
+	reg := NewRegistry()
+	m, err := reg.Register(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Artifact.Payload != nil {
+		t.Fatalf("registered model holds %d payload bytes", len(m.Artifact.Payload))
+	}
+	if !bytes.Equal(a.Payload, payload) {
+		t.Fatal("registering changed the caller's artifact payload")
+	}
+	if m.Version != version {
+		t.Fatalf("version %s, want the hash of the whole artifact %s", m.Version, version)
+	}
+	fromDir := NewRegistry()
+	if _, err := fromDir.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	dm, _ := fromDir.Get(a.Name)
+	if dm.Artifact.Payload != nil || dm.Version != version {
+		t.Fatalf("LoadDir model holds %d payload bytes, version %s (want %s)",
+			len(dm.Artifact.Payload), dm.Version, version)
+	}
+
+	srv := httptest.NewServer(NewServer(reg))
+	t.Cleanup(srv.Close)
+	resp, err := http.Get(srv.URL + "/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Models []ModelInfo `json:"models"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	want := ModelInfo{
+		Name: a.Name, Kind: a.Kind, Version: version, Threshold: a.Threshold, Seed: a.Seed,
+		Schema: []string{"aadt", "surface", "crash_prone"}, Target: a.Target, Metrics: a.Metrics,
+	}
+	if len(list.Models) != 1 || !reflect.DeepEqual(list.Models[0], want) {
+		t.Fatalf("/models = %+v, want %+v", list.Models, want)
 	}
 }
 

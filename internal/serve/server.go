@@ -240,7 +240,6 @@ type Server struct {
 
 	// Feedback-loop metrics, registered only when the loop is enabled.
 	fbLabels      *metrics.CounterVec    // {model, outcome}
-	brierWindow   *metrics.FloatGaugeVec // {model, version}
 	driftBaseline *metrics.FloatGaugeVec // {model}
 	driftAlarm    *metrics.GaugeVec      // {model}
 	shadowRows    *metrics.CounterVec    // {model, outcome}
@@ -291,7 +290,7 @@ func New(reg *Registry, cfg Config) *Server {
 		s.feedback.onlineLogloss = s.metrics.HistogramVec("crashprone_online_logloss",
 			"Per-label log-loss contributions of joined feedback, by model and version.",
 			loglossBuckets, "model", "version")
-		s.brierWindow = s.metrics.FloatGaugeVec("crashprone_online_brier_window",
+		s.feedback.onlineBrierWindow = s.metrics.FloatGaugeVec("crashprone_online_brier_window",
 			"Rolling windowed Brier score by model and version.", "model", "version")
 		s.driftBaseline = s.metrics.FloatGaugeVec("crashprone_drift_baseline",
 			"Pinned windowed-Brier baseline of the serving model.", "model")
