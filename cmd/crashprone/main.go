@@ -74,7 +74,7 @@ func main() {
 	case "cluster":
 		err = cmdCluster(args)
 	case "hotspots":
-		err = cmdHotspots(args)
+		err = cmdHotspots(os.Stdout, args)
 	case "rank":
 		err = cmdRank(args)
 	case "crisp":
@@ -780,10 +780,10 @@ func cmdLoadgen(args []string) error {
 // coordinates, splits the segments into a training and an evaluation
 // period, fits the KDE and persistence risk surfaces on the training
 // period, and reports how much next-period crash mass each surface's
-// top-k cells capture. -export persists the chosen surface as a hotspot
-// artifact for `crashprone serve` — GET /hotspots then returns exactly
-// the ranking printed here.
-func cmdHotspots(args []string) error {
+// top-k cells capture, writing the report to w. -export persists the
+// chosen surface as a hotspot artifact for `crashprone serve` — GET
+// /hotspots then returns exactly the ranking printed here.
+func cmdHotspots(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("hotspots", flag.ExitOnError)
 	rows := fs.Int("rows", 200000, "scenario segment-year rows to stream")
 	seed := fs.Uint64("seed", 20110322, "scenario seed")
@@ -844,16 +844,16 @@ func cmdHotspots(args []string) error {
 	for _, c := range future {
 		futureMass += c
 	}
-	fmt.Printf("hotspot grid: %d×%d cells of %.1f km over a %.0f km extent\n",
+	fmt.Fprintf(w, "hotspot grid: %d×%d cells of %.1f km over a %.0f km extent\n",
 		g.NX, g.NY, g.CellKm, roadnet.ExtentKm)
-	fmt.Printf("segments: %d observed, %d train / %d test; next-period crash mass %.0f\n",
+	fmt.Fprintf(w, "segments: %d observed, %d train / %d test; next-period crash mass %.0f\n",
 		len(obs), len(train), len(test), futureMass)
 	if *driftShift != 0 {
-		fmt.Printf("concept drift: +%.2f log-risk after row %d\n", *driftShift, *driftAfterRow)
+		fmt.Fprintf(w, "concept drift: +%.2f log-risk after row %d\n", *driftShift, *driftAfterRow)
 	}
 
-	fmt.Printf("\nhit-rate (next-period crash mass captured by the top-k cells)\n")
-	fmt.Printf("  %8s %8s %12s %12s\n", "k", "area", "kde", "persistence")
+	fmt.Fprintf(w, "\nhit-rate (next-period crash mass captured by the top-k cells)\n")
+	fmt.Fprintf(w, "  %8s %8s %12s %12s\n", "k", "area", "kde", "persistence")
 	ks := []int{*k / 4, *k / 2, *k, *k * 2}
 	for _, kk := range ks {
 		if kk < 1 || kk > g.Cells() {
@@ -867,14 +867,14 @@ func cmdHotspots(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %8d %7.1f%% %12.4f %12.4f\n",
+		fmt.Fprintf(w, "  %8d %7.1f%% %12.4f %12.4f\n",
 			kk, 100*float64(kk)/float64(g.Cells()), kh, ph)
 	}
 
 	for _, surf := range []*geo.Model{kde, pers} {
-		fmt.Printf("\ntop %d cells (%s):\n", *top, surf.Method)
+		fmt.Fprintf(w, "\ntop %d cells (%s):\n", *top, surf.Method)
 		for _, cr := range surf.TopCells(*top) {
-			fmt.Printf("  cell %5d  (%5.1f, %5.1f) km  expected crashes %6.2f  risk %.4f\n",
+			fmt.Fprintf(w, "  cell %5d  (%5.1f, %5.1f) km  expected crashes %6.2f  risk %.4f\n",
 				cr.Cell, cr.XKm, cr.YKm, surf.Rate[cr.Cell], cr.Risk)
 		}
 	}
@@ -910,7 +910,7 @@ func cmdHotspots(args []string) error {
 		if err := artifact.WriteFile(*export, a); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %s (model %q, %s surface, %d cells)\n", *export, *name, model.Method, g.Cells())
+		fmt.Fprintf(w, "\nwrote %s (model %q, %s surface, %d cells)\n", *export, *name, model.Method, g.Cells())
 	}
 	return nil
 }

@@ -15,7 +15,6 @@
 package artifact
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -353,22 +352,24 @@ func (a *Artifact) Encode(w io.Writer) error {
 
 // Decode parses and validates an artifact, including an eager decode of
 // the model payload so corrupt artifacts fail at load time rather than on
-// the first scoring request.
+// the first scoring request. The reader must hold exactly one artifact:
+// anything but whitespace after it is an error.
 func Decode(r io.Reader) (*Artifact, error) {
-	a, _, err := decodeModel(r)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("artifact: reading: %w", err)
+	}
+	a, _, err := decodeModel(b)
 	return a, err
 }
 
-// decodeModel is Decode that also returns the learner the eager payload
-// decode produced.
-func decodeModel(r io.Reader) (*Artifact, Scorer, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("artifact: reading: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
+// decodeModel is Decode over the artifact's bytes that also returns the
+// learner the eager payload decode produced. json.Unmarshal rejects any
+// data but whitespace after the artifact, so a file with a second value
+// or garbage appended fails here.
+func decodeModel(b []byte) (*Artifact, Scorer, error) {
 	var a Artifact
-	if err := dec.Decode(&a); err != nil {
+	if err := json.Unmarshal(b, &a); err != nil {
 		return nil, nil, fmt.Errorf("artifact: decoding: %w", err)
 	}
 	if err := a.validate(); err != nil {
@@ -396,22 +397,23 @@ func WriteFile(path string, a *Artifact) error {
 
 // ReadFile decodes the artifact at path.
 func ReadFile(path string) (*Artifact, error) {
-	a, _, err := ReadFileModel(path)
+	a, _, _, err := ReadFileModel(path)
 	return a, err
 }
 
-// ReadFileModel decodes the artifact at path and also returns the learner
-// its validation decoded, the model Model would return. A loader that
-// serves the learner thus decodes the payload once, not twice.
-func ReadFileModel(path string) (*Artifact, Scorer, error) {
-	f, err := os.Open(path)
+// ReadFileModel reads the file at path once and decodes those bytes. It
+// returns the artifact, the learner its validation decoded (the model
+// Model would return), and the file's bytes, so a loader that serves the
+// learner decodes the payload once and can identify the artifact by its
+// bytes without encoding it again.
+func ReadFileModel(path string) (*Artifact, Scorer, []byte, error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("artifact: %w", err)
+		return nil, nil, nil, fmt.Errorf("artifact: %w", err)
 	}
-	defer f.Close()
-	a, s, err := decodeModel(f)
+	a, s, err := decodeModel(b)
 	if err != nil {
-		return nil, nil, fmt.Errorf("artifact: %s: %w", path, err)
+		return nil, nil, nil, fmt.Errorf("artifact: %s: %w", path, err)
 	}
-	return a, s, nil
+	return a, s, b, nil
 }

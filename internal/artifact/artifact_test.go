@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -294,6 +295,62 @@ func TestWriteReadFile(t *testing.T) {
 	}
 	if _, err := ReadFile(corrupt); err == nil || !strings.Contains(err.Error(), corrupt) {
 		t.Errorf("ReadFile of a truncated artifact: %v, want an error naming %s", err, corrupt)
+	}
+}
+
+// TestTrailingData pins that an artifact is the whole input: Decode and
+// ReadFile reject anything but whitespace after the artifact, so a file
+// with garbage or a second artifact appended fails at load, and trailing
+// newlines still decode to the same artifact.
+func TestTrailingData(t *testing.T) {
+	ds := synthDataset(t, 200, 5)
+	dt, err := tree.Grow(ds, ds.MustAttrIndex("label"), treeCfg(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New("trail", KindDecisionTree, dt, ds.Attrs(), 4, 5, "label", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := a.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.String()
+	dir := t.TempDir()
+	for i, tc := range []struct {
+		name, in string
+		ok       bool
+	}{
+		{"trailing garbage", good + "garbage{", false},
+		{"two artifacts", good + good, false},
+		{"trailing newlines", good + "\n\n", true},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("case-%d.json", i))
+		if err := os.WriteFile(path, []byte(tc.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fromFile, ferr := ReadFile(path)
+		decoded, derr := Decode(strings.NewReader(tc.in))
+		if !tc.ok {
+			if derr == nil {
+				t.Errorf("%s: Decode accepted it", tc.name)
+			}
+			if ferr == nil || !strings.Contains(ferr.Error(), path) {
+				t.Errorf("%s: ReadFile: %v, want an error naming %s", tc.name, ferr, path)
+			}
+			continue
+		}
+		for reader, back := range map[string]*Artifact{"Decode": decoded, "ReadFile": fromFile} {
+			if back == nil {
+				t.Errorf("%s: %s rejected it: %v %v", tc.name, reader, derr, ferr)
+				continue
+			}
+			var again bytes.Buffer
+			if err := back.Encode(&again); err != nil || again.String() != good {
+				t.Errorf("%s: %s did not return the encoded artifact (%v)", tc.name, reader, err)
+			}
+		}
 	}
 }
 

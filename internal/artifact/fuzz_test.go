@@ -13,7 +13,9 @@ import (
 // Decode never panics (malformed, truncated and internally inconsistent
 // artifacts are rejections, not crashes); an accepted artifact re-encodes
 // deterministically, survives a decode -> encode -> decode round-trip byte
-// for byte, and its model scores a full-schema row without panicking.
+// for byte, and its model scores a full-schema row without panicking. An
+// accepted input is the whole artifact: with a byte of garbage appended it
+// is rejected, and with a newline appended it decodes to the same bytes.
 // The seed corpus holds one well-formed artifact per kind plus truncated
 // and version-mangled variants, so the fuzzer starts inside the format.
 func FuzzArtifactDecode(f *testing.F) {
@@ -59,6 +61,17 @@ func FuzzArtifactDecode(f *testing.F) {
 		}
 		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 			t.Fatal("decode -> encode is not byte-stable")
+		}
+		if _, err := Decode(strings.NewReader(in + "x")); err == nil {
+			t.Fatal("an accepted artifact with trailing garbage decoded")
+		}
+		nl, err := Decode(strings.NewReader(in + "\n"))
+		if err != nil {
+			t.Fatalf("an accepted artifact with a trailing newline failed: %v", err)
+		}
+		var b3 bytes.Buffer
+		if err := nl.Encode(&b3); err != nil || !bytes.Equal(b1.Bytes(), b3.Bytes()) {
+			t.Fatalf("a trailing newline changed the decoded artifact (%v)", err)
 		}
 		m, err := back.Model()
 		if err != nil {

@@ -41,11 +41,14 @@ type Model struct {
 	Scorer   compiled.ColumnScorer
 	Mapper   *artifact.RowMapper
 
-	// Version is a content hash of the artifact's deterministic encoding:
-	// two models are the same version exactly when their artifacts are
-	// byte-identical. The feedback loop keys its score join window and
-	// online metrics by it, so an incumbent and a shadow candidate that
-	// happen to share a name never pollute each other's statistics.
+	// Version is 12 hex digits of the SHA-256 of the artifact file's
+	// bytes (of its Encode bytes, the ones WriteFile writes, for an
+	// artifact registered from memory). A file the tools write keeps its
+	// version however often it is loaded; the same artifact re-rendered
+	// in another layout is a new version. The feedback loop keys its
+	// score join window and online metrics by it, so an incumbent and a
+	// shadow candidate that happen to share a name never pollute each
+	// other's statistics.
 	Version string
 
 	// statePool recycles /score request state (parser + batch scorer, see
@@ -65,12 +68,13 @@ type Model struct {
 	fbSegCol int
 }
 
-// buildModel compiles an artifact's decoded learner and builds its row
-// mapper. The model keeps a copy of the artifact's header without its
-// payload: once decoded and hashed into Version, the payload bytes are
+// buildModel compiles an artifact's decoded learner, builds its row
+// mapper and sets Version from raw, the bytes the artifact was decoded
+// from. The model keeps a copy of the artifact's header without its
+// payload, and nothing of raw: once decoded and hashed, those bytes are
 // not read again, so a loaded model does not hold them. The caller's
 // artifact is not changed.
-func buildModel(a *artifact.Artifact, scorer artifact.Scorer) (*Model, error) {
+func buildModel(a *artifact.Artifact, scorer artifact.Scorer, raw []byte) (*Model, error) {
 	cs, err := compiled.Compile(scorer)
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", a.Name, err)
@@ -83,11 +87,7 @@ func buildModel(a *artifact.Artifact, scorer artifact.Scorer) (*Model, error) {
 	for _, at := range mapper.Attrs() {
 		levels += len(at.Levels)
 	}
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(buf.Bytes())
+	sum := sha256.Sum256(raw)
 	header := *a
 	header.Payload = nil
 	return &Model{
@@ -111,30 +111,36 @@ func NewRegistry() *Registry {
 }
 
 // Register decodes the artifact's learner, builds its row mapper and adds
-// it under its artifact name. Re-registering a name replaces the previous
-// model (in-place single-model rollover); requests already scoring against
-// the old model finish on it.
+// it under its artifact name, versioned by its Encode bytes: the bytes
+// WriteFile writes, so a model registered from memory and the same model
+// loaded from its file are one version. Re-registering a name replaces
+// the previous model (in-place single-model rollover); requests already
+// scoring against the old model finish on it.
 func (r *Registry) Register(a *artifact.Artifact) (*Model, error) {
+	var raw bytes.Buffer
+	if err := a.Encode(&raw); err != nil {
+		return nil, err
+	}
 	scorer, err := a.Model()
 	if err != nil {
 		return nil, err
 	}
-	return r.add(a, scorer)
+	return r.add(a, scorer, raw.Bytes())
 }
 
 // LoadFile reads, validates and registers one artifact file.
 func (r *Registry) LoadFile(path string) (*Model, error) {
-	a, scorer, err := artifact.ReadFileModel(path)
+	a, scorer, raw, err := artifact.ReadFileModel(path)
 	if err != nil {
 		return nil, err
 	}
-	return r.add(a, scorer)
+	return r.add(a, scorer, raw)
 }
 
 // add builds the model of a decoded artifact and puts it under the
 // artifact's name.
-func (r *Registry) add(a *artifact.Artifact, scorer artifact.Scorer) (*Model, error) {
-	m, err := buildModel(a, scorer)
+func (r *Registry) add(a *artifact.Artifact, scorer artifact.Scorer, raw []byte) (*Model, error) {
+	m, err := buildModel(a, scorer, raw)
 	if err != nil {
 		return nil, err
 	}
@@ -161,11 +167,11 @@ func loadModels(dir string) (map[string]*Model, []string, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
-		a, scorer, err := artifact.ReadFileModel(filepath.Join(dir, e.Name()))
+		a, scorer, raw, err := artifact.ReadFileModel(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: loading %s: %w", e.Name(), err)
 		}
-		m, err := buildModel(a, scorer)
+		m, err := buildModel(a, scorer, raw)
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: loading %s: %w", e.Name(), err)
 		}

@@ -6,16 +6,19 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"roadcrash/internal/artifact"
 	"roadcrash/internal/data"
+	"roadcrash/internal/geo"
 	"roadcrash/internal/mining/tree"
 	"roadcrash/internal/rng"
 )
@@ -532,6 +535,23 @@ func TestLoadDirErrors(t *testing.T) {
 		t.Error("corrupt artifact should fail the load")
 	}
 
+	// An artifact with garbage after it fails the load, naming its file.
+	trailing := t.TempDir()
+	fixture(t, trailing)
+	f, err := os.OpenFile(filepath.Join(trailing, "cp-8-tree.json"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("garbage{"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.LoadDir(trailing); err == nil || !strings.Contains(err.Error(), "cp-8-tree.json") {
+		t.Errorf("artifact with trailing data: %v, want an error naming cp-8-tree.json", err)
+	}
+
 	// Two files carrying the same artifact name must not silently shadow
 	// each other.
 	dup := t.TempDir()
@@ -579,5 +599,90 @@ func TestRegistryLoadFile(t *testing.T) {
 	}
 	if n := len(reg.Models()); n != 1 {
 		t.Errorf("registry holds %d models after two failed loads, want 1", n)
+	}
+}
+
+// TestVersionIsFileHash pins the version rule: a model's version is the
+// hex of the first 6 bytes of the SHA-256 of the bytes it was loaded
+// from. LoadDir and LoadFile hash the file and Register hashes the bytes
+// WriteFile writes, so all three agree on a file WriteFile wrote, while a
+// compact rendering of the same artifact loads and scores bit-identically
+// under a version of its own.
+func TestVersionIsFileHash(t *testing.T) {
+	hash := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:6])
+	}
+	dir := t.TempDir()
+	a, _ := fixture(t, dir)
+	path := filepath.Join(dir, "cp-8-tree.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := hash(raw)
+
+	reg := NewRegistry()
+	if _, err := reg.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	fromDir, _ := reg.Get(a.Name)
+	fromFile, err := NewRegistry().LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered, err := NewRegistry().Register(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for how, m := range map[string]*Model{"LoadDir": fromDir, "LoadFile": fromFile, "Register": registered} {
+		if m.Version != want {
+			t.Errorf("%s: version %s, want %s, the hash of the file's bytes", how, m.Version, want)
+		}
+	}
+
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, raw); err != nil {
+		t.Fatal(err)
+	}
+	cdir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(cdir, "cp-8-tree.json"), compact.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	creg := NewRegistry()
+	if _, err := creg.LoadDir(cdir); err != nil {
+		t.Fatalf("compact rendering: %v", err)
+	}
+	cm, _ := creg.Get(a.Name)
+	if cm.Version == want || cm.Version != hash(compact.Bytes()) {
+		t.Errorf("compact rendering: version %s, want %s, its own bytes' hash, not %s",
+			cm.Version, hash(compact.Bytes()), want)
+	}
+	for _, row := range [][]float64{{2000, 1, data.Missing}, {900, 0, data.Missing}, {1600, 1, data.Missing}, {data.Missing, data.Missing, data.Missing}} {
+		if got, want := cm.Scorer.PredictProb(row), fromDir.Scorer.PredictProb(row); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("row %v: compact rendering scores %v, the written file %v", row, got, want)
+		}
+	}
+}
+
+// BenchmarkLoadDir measures one LoadDir of a directory holding the two
+// artifact kinds the repository benchmark serves, both written by
+// artifact.WriteFile: a decision tree and a 32×32 KDE hotspot surface.
+// That load is each replica's share of the benchmark's setup_s.
+func BenchmarkLoadDir(b *testing.B) {
+	dir := b.TempDir()
+	fixture(b, dir)
+	kde, err := artifact.New("grid-kde", artifact.KindHotspot, fitSurface(b, geo.MethodKDE, 1), geo.Schema(), 0, 42, "cell_label", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := artifact.WriteFile(filepath.Join(dir, "grid-kde.json"), kde); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewRegistry().LoadDir(dir); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
