@@ -27,13 +27,16 @@ const (
 
 // TestRiskBytesConformance pins "one input gets one answer everywhere"
 // down to the bytes: for every learner kind the study exports, the same
-// ScenarioStream rows, projected onto the model's schema, are scored by
-// /score and /score/stream on a replica and by both endpoints through a
-// router over two replicas, and every "risk": value on all four paths
-// must be exactly data.AppendJSONFloat of the offline batch scorer's
-// score for that row. The traffic must include risks that strconv's
-// shortest %g spells differently (below 1e-4, such as 1e-07 against
-// 1e-7), so one encoder, not agreeing digits, is what the test pins.
+// ScenarioStream rows, projected onto the model's schema plus
+// segment_id, are scored by /score and /score/stream on a replica
+// without the feedback loop, on one with it, and through a router over
+// the two, and every "risk": value on all six paths must be exactly
+// data.AppendJSONFloat of the offline batch scorer's score for that row.
+// Every replica parses the same request schema whether or not its loop
+// reads segment_id, so the router's answer cannot depend on the replica
+// it picks. The traffic must include risks that strconv's shortest %g
+// spells differently (below 1e-4, such as 1e-07 against 1e-7), so one
+// encoder, not agreeing digits, is what the test pins.
 func TestRiskBytesConformance(t *testing.T) {
 	study := smallStudy(t)
 	var arts []*artifact.Artifact
@@ -50,20 +53,23 @@ func TestRiskBytesConformance(t *testing.T) {
 		arts = append(arts, a)
 	}
 
-	replica := func() *httptest.Server {
+	replica := func(cfg serve.Config) *httptest.Server {
 		reg := serve.NewRegistry()
 		for _, a := range arts {
 			if _, err := reg.Register(a); err != nil {
 				t.Fatal(err)
 			}
 		}
-		srv := httptest.NewServer(serve.New(reg, serve.Config{}))
+		srv := httptest.NewServer(serve.New(reg, cfg))
 		t.Cleanup(srv.Close)
 		return srv
 	}
-	direct := replica()
+	// An idle fleet routes to the first replica in configuration order,
+	// so the router's requests reach the replica without the loop.
+	plain := replica(serve.Config{})
+	looped := replica(serve.Config{FeedbackWindow: conformanceBatch})
 	cfg := router.DefaultConfig()
-	cfg.Replicas = []string{direct.URL, replica().URL}
+	cfg.Replicas = []string{plain.URL, looped.URL}
 	cfg.JitterSeed = 1
 	rt, err := router.New(cfg)
 	if err != nil {
@@ -93,7 +99,7 @@ func TestRiskBytesConformance(t *testing.T) {
 		}
 		var cols []int
 		for j, at := range traffic.Attrs() {
-			if bs.Mapper().HasAttr(at.Name) {
+			if bs.Mapper().HasAttr(at.Name) || at.Name == roadnet.AttrSegmentID {
 				cols = append(cols, j)
 			}
 		}
@@ -124,7 +130,7 @@ func TestRiskBytesConformance(t *testing.T) {
 		for _, tier := range []struct {
 			name string
 			url  string
-		}{{"replica", direct.URL}, {"router", routed.URL}} {
+		}{{"replica", plain.URL}, {"feedback replica", looped.URL}, {"router", routed.URL}} {
 			var got [][]byte
 			for _, body := range scoreBodies {
 				got = append(got, riskBytes(t, tier.url+"/score", "application/json", body)...)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 
 	"roadcrash/internal/artifact"
 	"roadcrash/internal/data"
@@ -17,23 +18,21 @@ import (
 // replaced (same float formatting, same HTML-escaped strings, same
 // trailing newline) — pinned by the differential suite in
 // fastpath_test.go. Generic JSON decoding, not inference, was what held
-// /score to 1.01x while the streaming path went 3.24x (BENCH_5); here a
-// request costs one left-to-right parse into a columnar batch, one
-// ScoreColumns call and one buffer write, with no per-row allocations.
+// /score back; here a request costs one left-to-right parse into a
+// columnar batch, one ScoreColumns call and one buffer write, with no
+// per-row allocations. BenchmarkScoreFastPath measures the handler, and
+// `bash perfbench/run.sh --workload score-routed` a served request end
+// to end.
 
 // scoreState is one model's per-request decoding and scoring state: the
-// hand-rolled request parser and a columnar batch scorer bound to the
-// parser's batch schema. States are pooled per model — the parser interns
-// nominal level names across requests exactly like a long-lived NDJSON
-// reader, and the scorer's bindings stay valid because the batch schema
-// only ever grows levels. join marks a parser built over the
-// feedback-mode schema (fbSchema), which lets segments carry the
-// segment_id join key; the scorer skips that bookkeeping column, so both
-// schemas give byte-identical responses.
+// hand-rolled request parser over the model's request schema and a
+// columnar batch scorer bound to the parser's batch schema. States are
+// pooled per model — the parser interns nominal level names across
+// requests exactly like a long-lived NDJSON reader, and the scorer's
+// bindings stay valid because the batch schema only ever grows levels.
 type scoreState struct {
 	parser *data.ScoreRequestParser
 	bs     *artifact.BatchScorer
-	join   bool
 }
 
 // maxPooledLevels bounds how many nominal level names beyond the training
@@ -42,22 +41,14 @@ type scoreState struct {
 // pool memory without bound.
 const maxPooledLevels = 1024
 
-// scoreState takes a pooled state for this model, or builds one, over
-// the training schema or, when join is set, the feedback-mode schema. A
-// pooled state built for the other schema is dropped; that happens only
-// when servers with and without the feedback loop share a registry.
-func (m *Model) scoreState(join bool) *scoreState {
-	if st, ok := m.statePool.Get().(*scoreState); ok && st.join == join {
+// scoreState takes a pooled state for this model, or builds one.
+func (m *Model) scoreState() *scoreState {
+	if st, ok := m.statePool.Get().(*scoreState); ok {
 		return st
 	}
-	attrs := m.Mapper.Attrs()
-	if join {
-		attrs, _ = m.fbSchema()
-	}
 	return &scoreState{
-		parser: data.NewScoreRequestParser(attrs),
+		parser: data.NewScoreRequestParser(m.schema),
 		bs:     artifact.NewBatchScorerFor(m.Scorer, m.Mapper),
-		join:   join,
 	}
 }
 
@@ -102,6 +93,12 @@ func putScoreBufs(b *scoreBufs) {
 // front, and a longer body grows the buffer only as its bytes arrive.
 // The router reads its batch bodies with it too, so both tiers treat a
 // body alike; BodyError gives the answer to a failure.
+//
+// A failed read closes req.Body with the connection's reads already past
+// their deadline, so net/http answers at once and then closes the
+// connection. Otherwise it would first drain the rest of the body, once
+// /score's handler has cleared its deadline or on an endpoint that never
+// set one, and a stalled sender would hold the connection, unanswered.
 func ReadBody(w http.ResponseWriter, req *http.Request, limit int64, buf []byte) ([]byte, error) {
 	r := http.MaxBytesReader(w, req.Body, limit)
 	buf = buf[:0]
@@ -121,6 +118,8 @@ func ReadBody(w http.ResponseWriter, req *http.Request, limit int64, buf []byte)
 			return buf, nil
 		}
 		if err != nil {
+			http.NewResponseController(w).SetReadDeadline(time.Now())
+			req.Body.Close()
 			return buf, err
 		}
 	}

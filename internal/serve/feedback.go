@@ -444,13 +444,13 @@ func (mf *modelFeedback) gradeLocked(id int64, y float64, version string, f *fee
 }
 
 // publishGradedLocked publishes the windowed Brier of every version the
-// label batch just graded, a staged candidate's included, and clears the
-// batch's marks. The serving version is left to evaluateDrift, which
-// publishes it with the mean it judges drift on. Caller holds mf.mu.
-func (mf *modelFeedback) publishGradedLocked(serving string, f *feedbackState) {
+// label batch just graded, the serving one and a staged candidate's
+// alike, and clears the batch's marks. It is the gauge's one writer: a
+// version's mean changes only when a label grades it. Caller holds mf.mu.
+func (mf *modelFeedback) publishGradedLocked(f *feedbackState) {
 	for i := range mf.versions {
 		st := &mf.versions[i]
-		if st.graded && st.version != serving {
+		if st.graded {
 			st.publishWindow(st.brierMean(), mf.name, f)
 		}
 		st.graded = false
@@ -485,7 +485,6 @@ func (s *Server) evaluateDrift(name, version string) bool {
 			mf.firing = false
 		}
 	}
-	st.publishWindow(w, name, s.feedback)
 	firing, pinned, baseline := mf.firing, st.pinned, st.baseline
 	mf.mu.Unlock()
 
@@ -509,7 +508,6 @@ func (s *Server) evaluateDrift(name, version string) bool {
 // score) is counted and otherwise ignored; shadowing must not be able to
 // break serving.
 func (s *Server) observeScores(name string, m *Model, batch *data.Batch, scores []float64) {
-	_, segCol := m.fbSchema()
 	cand := s.feedback.candidateFor(name, m.Version)
 	var candScores []float64
 	if cand != nil {
@@ -522,10 +520,10 @@ func (s *Server) observeScores(name string, m *Model, batch *data.Batch, scores 
 			s.shadowRows.With(name, "scored").Add(uint64(len(out)))
 		}
 	}
-	if segCol < 0 || segCol >= len(batch.Attrs()) {
+	if m.segCol < 0 {
 		return
 	}
-	ids := batch.Col(segCol)
+	ids := batch.Col(m.segCol)
 	mf := s.feedback.forModel(name)
 	mf.mu.Lock()
 	v, cv := mf.versionLocked(m.Version), int32(-1)
@@ -543,32 +541,6 @@ func (s *Server) observeScores(name string, m *Model, batch *data.Batch, scores 
 		}
 	}
 	mf.mu.Unlock()
-}
-
-// fbSchema returns the model's feedback-mode request schema — the
-// training schema plus an interval segment_id column when the schema
-// lacks one — and the index of the join column (-1 when the schema
-// defines segment_id with a non-numeric kind, which disables joining).
-func (m *Model) fbSchema() ([]data.Attribute, int) {
-	m.fbOnce.Do(func() {
-		attrs := m.Mapper.Attrs()
-		for j, at := range attrs {
-			if at.Name == segmentIDAttr {
-				m.fbAttrs = attrs
-				m.fbSegCol = -1
-				if at.Kind != data.Nominal {
-					m.fbSegCol = j
-				}
-				return
-			}
-		}
-		merged := make([]data.Attribute, 0, len(attrs)+1)
-		merged = append(merged, attrs...)
-		merged = append(merged, data.Attribute{Name: segmentIDAttr, Kind: data.Interval})
-		m.fbAttrs = merged
-		m.fbSegCol = len(merged) - 1
-	})
-	return m.fbAttrs, m.fbSegCol
 }
 
 // feedbackBufs is the reusable storage of one /feedback request: the body
@@ -624,7 +596,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 		key, _ := segmentKey(id) // parseFeedback admitted only ids with a key
 		counts[mf.gradeLocked(key, fr.Labels[i], fr.Version, s.feedback)]++
 	}
-	mf.publishGradedLocked(m.Version, s.feedback)
+	mf.publishGradedLocked(s.feedback)
 	mf.mu.Unlock()
 	outcomes := make(map[string]int, len(counts))
 	for o, n := range counts {

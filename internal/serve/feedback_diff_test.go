@@ -389,9 +389,9 @@ func checkJoinWindow(t *testing.T, mf *modelFeedback, ref *refJoinWindow) {
 	}
 }
 
-// feedbackBatch renders a feedback-mode /score body for the leaf model
-// "m", one segment per id from first to first+rows-1, and the /feedback
-// body that labels those segments.
+// feedbackBatch renders a /score body for the leaf model "m", one
+// segment carrying a segment_id per id from first to first+rows-1, and
+// the /feedback body that labels those segments.
 func feedbackBatch(first, rows int) (score, labels string) {
 	var sb, lb strings.Builder
 	sb.WriteString(`{"model":"m","segments":[`)

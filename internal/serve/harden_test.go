@@ -270,20 +270,29 @@ func TestFormatRetryAfter(t *testing.T) {
 	}
 }
 
-// TestHeaderDeadline pins the header-phase deadline RunListener gives
-// every connection: one that sends half a header is closed within
+// TestHeaderDeadline pins the deadlines RunListener and /score give a
+// connection. One that sends half a header is closed within
 // readHeaderTimeout plus slack, while a keep-alive connection left idle
 // for longer than that between two requests still gets its second
-// answer, because the header clock starts at a request's first byte.
+// answer, because the header clock starts at a request's first byte. A
+// /score body that stalls is answered 400 and closed within
+// RequestTimeout plus slack, whether more or less than the 256 KiB
+// net/http would drain after the handler is left unread. A body that
+// stalls after passing the byte limit gets its 413 and the close at
+// once, on /feedback too, though no deadline guards that body.
 func TestHeaderDeadline(t *testing.T) {
 	t.Parallel()
+	const requestTimeout, bodyLimit = time.Second, 1024
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
-	go func() { runDone <- RunListener(ctx, ln, New(NewRegistry(), Config{}), time.Second) }()
+	go func() {
+		cfg := Config{RequestTimeout: requestTimeout, MaxBodyBytes: bodyLimit, FeedbackWindow: 16}
+		runDone <- RunListener(ctx, ln, New(NewRegistry(), cfg), time.Second)
+	}()
 	t.Cleanup(func() {
 		cancel()
 		<-runDone
@@ -339,6 +348,49 @@ func TestHeaderDeadline(t *testing.T) {
 			}
 		}
 	})
+
+	for _, tc := range []struct {
+		path     string
+		declared int
+		sent     string
+		status   int
+	}{
+		{"/score", 100, `{"model":`, http.StatusBadRequest},
+		{"/score", 300 << 10, `{"model":`, http.StatusBadRequest},
+		{"/score", 2 * bodyLimit, strings.Repeat(" ", bodyLimit+1), http.StatusRequestEntityTooLarge},
+		{"/feedback", 2 * bodyLimit, strings.Repeat(" ", bodyLimit+1), http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(fmt.Sprintf("stalled %s body of %d bytes", tc.path, tc.declared), func(t *testing.T) {
+			t.Parallel()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			start := time.Now()
+			head := fmt.Sprintf("POST %s HTTP/1.1\r\nHost: replica\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", tc.path, tc.declared)
+			if _, err := io.WriteString(conn, head+tc.sent); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(start.Add(requestTimeout + 2*time.Second))
+			br := bufio.NewReader(conn)
+			state := "no answer"
+			resp, err := http.ReadResponse(br, nil)
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != tc.status {
+					t.Fatalf("stalled body answered %d, want %d", resp.StatusCode, tc.status)
+				}
+				// Its body unread, the connection cannot serve another
+				// request, so the replica must close it too.
+				state = "an answer"
+				_, err = br.ReadByte()
+			}
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("stalled body: %s and the connection still open after %v", state, time.Since(start))
+			}
+		})
+	}
 }
 
 // TestScoreRequestTimeout pins the slowloris guard: a client that opens

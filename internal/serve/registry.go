@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -60,12 +61,12 @@ type Model struct {
 	statePool    sync.Pool
 	schemaLevels int
 
-	// fbAttrs is the feedback-mode request schema, built once: the
-	// training schema plus a segment_id bookkeeping column when the
-	// schema lacks one (see fbSchema in feedback.go).
-	fbOnce   sync.Once
-	fbAttrs  []data.Attribute
-	fbSegCol int
+	// schema is the request schema of every /score and /score/stream
+	// row, and segCol the index of its segment_id join column (see
+	// requestSchema). Both are fixed at load, whether or not the server
+	// runs the feedback loop.
+	schema []data.Attribute
+	segCol int
 }
 
 // buildModel compiles an artifact's decoded learner, builds its row
@@ -90,10 +91,30 @@ func buildModel(a *artifact.Artifact, scorer artifact.Scorer, raw []byte) (*Mode
 	sum := sha256.Sum256(raw)
 	header := *a
 	header.Payload = nil
+	schema, segCol := requestSchema(mapper.Attrs())
 	return &Model{
 		Artifact: &header, Scorer: cs, Mapper: mapper,
 		Version: hex.EncodeToString(sum[:6]), schemaLevels: levels,
+		schema: schema, segCol: segCol,
 	}, nil
+}
+
+// requestSchema returns the training schema plus an interval segment_id
+// column when it lacks one, and the index of the segment_id column, or -1
+// when the training schema makes it nominal, which leaves the feedback
+// loop nothing to join on. The scorer skips a column outside the training
+// schema, so the added one never changes a risk.
+func requestSchema(train []data.Attribute) ([]data.Attribute, int) {
+	for j, at := range train {
+		if at.Name == segmentIDAttr {
+			if at.Kind == data.Nominal {
+				return train, -1
+			}
+			return train, j
+		}
+	}
+	schema := slices.Concat(train, []data.Attribute{{Name: segmentIDAttr, Kind: data.Interval}})
+	return schema, len(schema) - 1
 }
 
 // Registry is a concurrent-safe name -> model table. Mutations swap

@@ -273,6 +273,31 @@ func TestLoadedModelDropsPayload(t *testing.T) {
 	}
 }
 
+// TestRequestSchema pins each model's one request schema: segment_id is
+// appended as an interval join column when the training schema lacks
+// it, and a training schema that names it keeps its kind, joining on it
+// only when that kind is numeric.
+func TestRequestSchema(t *testing.T) {
+	aadt := data.Attribute{Name: "aadt", Kind: data.Interval}
+	interval := data.Attribute{Name: segmentIDAttr, Kind: data.Interval}
+	nominal := data.Attribute{Name: segmentIDAttr, Kind: data.Nominal, Levels: []string{"s1"}}
+	for _, tc := range []struct {
+		name   string
+		train  []data.Attribute
+		want   []data.Attribute
+		segCol int
+	}{
+		{"absent", []data.Attribute{aadt}, []data.Attribute{aadt, interval}, 1},
+		{"interval", []data.Attribute{interval, aadt}, []data.Attribute{interval, aadt}, 0},
+		{"nominal", []data.Attribute{aadt, nominal}, []data.Attribute{aadt, nominal}, -1},
+	} {
+		schema, segCol := requestSchema(tc.train)
+		if !reflect.DeepEqual(schema, tc.want) || segCol != tc.segCol {
+			t.Errorf("%s: schema %v, join column %d; want %v, %d", tc.name, schema, segCol, tc.want, tc.segCol)
+		}
+	}
+}
+
 // TestConcurrentScoring hammers one registry from many goroutines; run
 // with -race this pins the concurrency safety of registry reads and
 // decoded-model scoring.

@@ -67,13 +67,15 @@ type Config struct {
 	// FeedbackWindow enables the label-feedback loop (POST /feedback,
 	// shadow scoring, gated promotion): each model keeps its last
 	// FeedbackWindow served scores in memory, keyed by segment id and
-	// model version, for delayed labels to join against. Scoring requests
-	// may then carry a segment_id bookkeeping column (ignored by the
-	// models). 0 disables the loop and all its endpoints. Note a staged
-	// shadow candidate's scores share the incumbent's window. Each
-	// remembered score costs a 24-byte entry plus 8–16 bytes of index,
-	// 32 bytes when the window is a power of two; a model's window is
-	// allocated by its first scored row that carries a segment_id.
+	// model version, for delayed labels to join against. The loop reads
+	// the segment_id column that every replica's scoring requests may
+	// carry and the models ignore; without the loop the column is
+	// accepted and not read. 0 disables the loop and all its endpoints.
+	// Note a staged shadow candidate's scores share the incumbent's
+	// window. Each remembered score costs a 24-byte entry plus 8–16 bytes
+	// of index, 32 bytes when the window is a power of two; a model's
+	// window is allocated by its first scored row that carries a
+	// segment_id.
 	FeedbackWindow int
 	// RollingWindow is the sample count of each model version's rolling
 	// Brier window. Default 256.
@@ -537,7 +539,7 @@ func (s *Server) handleScore(w http.ResponseWriter, req *http.Request) {
 			return nil, unknownModelError(name)
 		}
 		m = mm
-		st = mm.scoreState(s.feedback != nil)
+		st = mm.scoreState()
 		return st.parser, nil
 	})
 	if st != nil {
@@ -651,13 +653,7 @@ func (s *Server) streamScores(w http.ResponseWriter, name string, m *Model, req 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	body := &extendingReader{r: req.Body, extend: extend}
-	attrs := m.Mapper.Attrs()
-	if s.feedback != nil {
-		// As on /score: feedback mode reads the merged schema so stream
-		// rows can carry segment ids for the label join.
-		attrs, _ = m.fbSchema()
-	}
-	br := data.NewNDJSONBatchReader(body, attrs, streamChunkSize)
+	br := data.NewNDJSONBatchReader(body, m.schema, streamChunkSize)
 	bs := artifact.NewBatchScorerFor(m.Scorer, m.Mapper)
 	var lines []byte // reused chunk render buffer
 	rows, err := bs.ScoreAll(br, func(b *data.Batch, scores []float64) error {
