@@ -160,12 +160,18 @@ func New(name string, kind Kind, model Scorer, schema []data.Attribute, threshol
 // column-indexed learners must stay inside the header row width — so
 // corrupt artifacts fail here, at load, not on the first scoring request.
 // Each call returns a freshly decoded model.
+//
+// A learner's UnmarshalJSON is called directly rather than through
+// json.Unmarshal, which would first validate and skip the payload bytes
+// before handing them to that same method, and the method's own
+// json.Unmarshal validates them anyway. geo.Model has no decoder of its
+// own, so the hotspot kind goes through json.Unmarshal.
 func (a *Artifact) Model() (Scorer, error) {
 	var s Scorer
 	switch a.Kind {
 	case KindDecisionTree, KindRegressionTree:
 		t := new(tree.Tree)
-		if err := json.Unmarshal(a.Payload, t); err != nil {
+		if err := t.UnmarshalJSON(a.Payload); err != nil {
 			return nil, fmt.Errorf("artifact %q: %w", a.Name, err)
 		}
 		if err := a.checkTreeSchema(t); err != nil {
@@ -174,7 +180,7 @@ func (a *Artifact) Model() (Scorer, error) {
 		s = t
 	case KindNaiveBayes:
 		m := new(bayes.Model)
-		if err := json.Unmarshal(a.Payload, m); err != nil {
+		if err := m.UnmarshalJSON(a.Payload); err != nil {
 			return nil, fmt.Errorf("artifact %q: %w", a.Name, err)
 		}
 		if err := m.Validate(len(a.Schema)); err != nil {
@@ -183,7 +189,7 @@ func (a *Artifact) Model() (Scorer, error) {
 		s = m
 	case KindLogistic:
 		m := new(logit.Model)
-		if err := json.Unmarshal(a.Payload, m); err != nil {
+		if err := m.UnmarshalJSON(a.Payload); err != nil {
 			return nil, fmt.Errorf("artifact %q: %w", a.Name, err)
 		}
 		if err := m.Validate(len(a.Schema)); err != nil {
@@ -192,7 +198,7 @@ func (a *Artifact) Model() (Scorer, error) {
 		s = m
 	case KindBagging:
 		m := new(ensemble.Bagging)
-		if err := json.Unmarshal(a.Payload, m); err != nil {
+		if err := m.UnmarshalJSON(a.Payload); err != nil {
 			return nil, fmt.Errorf("artifact %q: %w", a.Name, err)
 		}
 		if err := a.checkTreeSchemas(m.Members()); err != nil {
@@ -201,7 +207,7 @@ func (a *Artifact) Model() (Scorer, error) {
 		s = m
 	case KindAdaBoost:
 		m := new(ensemble.AdaBoost)
-		if err := json.Unmarshal(a.Payload, m); err != nil {
+		if err := m.UnmarshalJSON(a.Payload); err != nil {
 			return nil, fmt.Errorf("artifact %q: %w", a.Name, err)
 		}
 		if err := a.checkTreeSchemas(m.Members()); err != nil {
@@ -210,7 +216,7 @@ func (a *Artifact) Model() (Scorer, error) {
 		s = m
 	case KindZINB:
 		c := new(zinb.ThresholdClassifier)
-		if err := json.Unmarshal(a.Payload, c); err != nil {
+		if err := c.UnmarshalJSON(a.Payload); err != nil {
 			return nil, fmt.Errorf("artifact %q: %w", a.Name, err)
 		}
 		if err := c.Validate(len(a.Schema)); err != nil {
@@ -223,7 +229,7 @@ func (a *Artifact) Model() (Scorer, error) {
 		s = *c
 	case KindM5:
 		m := new(m5.Model)
-		if err := json.Unmarshal(a.Payload, m); err != nil {
+		if err := m.UnmarshalJSON(a.Payload); err != nil {
 			return nil, fmt.Errorf("artifact %q: %w", a.Name, err)
 		}
 		if err := m.Validate(len(a.Schema)); err != nil {
@@ -235,7 +241,7 @@ func (a *Artifact) Model() (Scorer, error) {
 		s = m
 	case KindNeural:
 		m := new(neural.Model)
-		if err := json.Unmarshal(a.Payload, m); err != nil {
+		if err := m.UnmarshalJSON(a.Payload); err != nil {
 			return nil, fmt.Errorf("artifact %q: %w", a.Name, err)
 		}
 		if err := m.Validate(len(a.Schema)); err != nil {

@@ -1,6 +1,8 @@
 // Package engine provides the bounded worker pool behind the study's
-// embarrassingly parallel experiments: the Table 3/4 threshold sweeps,
-// cross-validation folds and k-means restarts. Tasks are indexed, results
+// embarrassingly parallel experiments — the Table 3/4 threshold sweeps,
+// cross-validation folds and k-means restarts — and behind serving's
+// model load, which decodes a directory's artifacts concurrently
+// (serve.LoadDir, ReloadDir and PrepareDir). Tasks are indexed, results
 // are returned in index order, and every task derives its randomness from
 // its own index (or a per-task seed), so the output is bit-identical
 // whatever the worker count — parallelism changes wall-clock time, never

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"sync"
 	"time"
 
@@ -126,16 +127,26 @@ func ReadBody(w http.ResponseWriter, req *http.Request, limit int64, buf []byte)
 }
 
 // BodyError is the status and error message that answer a ReadBody
-// failure: 413 naming the limit for a body over it, 400 for any other
-// read error, such as a body that ends before its Content-Length.
+// failure: 413 naming the limit for a body over it, 400 with a fixed
+// message for a body still incomplete at its read deadline, and 400 for
+// any other read error, such as a body that ends before its
+// Content-Length. The deadline's message is fixed because the net error
+// behind it names both ends of the connection, and a client learns
+// nothing from the addresses.
 func BodyError(err error) (int, string) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		return http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit)
 	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return http.StatusBadRequest, bodyDeadlineMessage
+	}
 	return http.StatusBadRequest, fmt.Sprintf("malformed request: %v", err)
 }
+
+// bodyDeadlineMessage answers a body that did not arrive in time.
+const bodyDeadlineMessage = "request body not received before the request deadline"
 
 // writeBodyError answers a ReadBody failure as BodyError says.
 func writeBodyError(w http.ResponseWriter, err error) {

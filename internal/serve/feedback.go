@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"net/http"
 	"sync"
+	"time"
 
 	"roadcrash/internal/artifact"
 	"roadcrash/internal/data"
@@ -574,6 +575,11 @@ func putFeedbackBufs(b *feedbackBufs) {
 // model's drift alarm is re-evaluated, and — with AutoPromote on — the
 // promotion gate runs.
 func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
+	// The /score deadline: RequestTimeout covers reading the labels and
+	// writing the answer, so a stalled sender gets its 400 (see ReadBody).
+	rc := http.NewResponseController(w)
+	setDeadlines(rc, time.Now().Add(s.cfg.RequestTimeout))
+	defer setDeadlines(rc, time.Time{})
 	bufs := feedbackBufPool.Get().(*feedbackBufs)
 	defer putFeedbackBufs(bufs)
 	body, err := ReadBody(w, req, s.cfg.MaxBodyBytes, bufs.body)

@@ -275,11 +275,11 @@ func TestFormatRetryAfter(t *testing.T) {
 // readHeaderTimeout plus slack, while a keep-alive connection left idle
 // for longer than that between two requests still gets its second
 // answer, because the header clock starts at a request's first byte. A
-// /score body that stalls is answered 400 and closed within
+// /score or /feedback body that stalls is answered 400 and closed within
 // RequestTimeout plus slack, whether more or less than the 256 KiB
-// net/http would drain after the handler is left unread. A body that
-// stalls after passing the byte limit gets its 413 and the close at
-// once, on /feedback too, though no deadline guards that body.
+// net/http would drain after the handler is left unread; the answer
+// names the deadline, not the connection's addresses. A body that stalls
+// after passing the byte limit gets its 413 and the close at once.
 func TestHeaderDeadline(t *testing.T) {
 	t.Parallel()
 	const requestTimeout, bodyLimit = time.Second, 1024
@@ -298,6 +298,10 @@ func TestHeaderDeadline(t *testing.T) {
 		<-runDone
 	})
 	addr := ln.Addr().String()
+	host, _, err := net.SplitHostPort(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const request = "GET /healthz?live=1 HTTP/1.1\r\nHost: replica\r\n"
 
 	t.Run("half a header", func(t *testing.T) {
@@ -357,6 +361,7 @@ func TestHeaderDeadline(t *testing.T) {
 	}{
 		{"/score", 100, `{"model":`, http.StatusBadRequest},
 		{"/score", 300 << 10, `{"model":`, http.StatusBadRequest},
+		{"/feedback", 100, `{"model":`, http.StatusBadRequest},
 		{"/score", 2 * bodyLimit, strings.Repeat(" ", bodyLimit+1), http.StatusRequestEntityTooLarge},
 		{"/feedback", 2 * bodyLimit, strings.Repeat(" ", bodyLimit+1), http.StatusRequestEntityTooLarge},
 	} {
@@ -377,9 +382,14 @@ func TestHeaderDeadline(t *testing.T) {
 			state := "no answer"
 			resp, err := http.ReadResponse(br, nil)
 			if err == nil {
+				msg, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != tc.status {
-					t.Fatalf("stalled body answered %d, want %d", resp.StatusCode, tc.status)
+					t.Fatalf("stalled body answered %d %s, want %d", resp.StatusCode, msg, tc.status)
+				}
+				if tc.status == http.StatusBadRequest &&
+					(strings.Contains(string(msg), host) || !strings.Contains(string(msg), bodyDeadlineMessage)) {
+					t.Errorf("stalled body answered %s, want the deadline message %q and no address", msg, bodyDeadlineMessage)
 				}
 				// Its body unread, the connection cannot serve another
 				// request, so the replica must close it too.

@@ -28,6 +28,7 @@ import (
 	"roadcrash/internal/artifact"
 	"roadcrash/internal/compiled"
 	"roadcrash/internal/data"
+	"roadcrash/internal/engine"
 )
 
 // Model is one servable entry: the artifact's header (its payload is
@@ -172,40 +173,57 @@ func (r *Registry) add(a *artifact.Artifact, scorer artifact.Scorer, raw []byte)
 }
 
 // loadModels reads and decodes every *.json artifact in dir into a fresh
-// table. Two files carrying the same artifact name are an error — one
-// would silently shadow the other — and so is a directory with no
-// artifacts: a scoring service with zero models is a deployment mistake
-// worth failing on.
+// table. The files are read, decoded, compiled and hashed concurrently on
+// up to GOMAXPROCS goroutines (engine.Map), so a load takes about as long
+// as its largest artifact. The results are then checked in file-name
+// order, and the first error met in that order is the one returned,
+// whichever file finished first. Two files carrying the same artifact
+// name are an error — one would silently shadow the other — and so is a
+// directory with no artifacts: a scoring service with zero models is a
+// deployment mistake worth failing on.
 func loadModels(dir string) (map[string]*Model, []string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
-	models := make(map[string]*Model)
-	fileFor := make(map[string]string)
-	var names []string
+	var files []string // sorted: os.ReadDir sorts by file name
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+			files = append(files, e.Name())
 		}
-		a, scorer, raw, err := artifact.ReadFileModel(filepath.Join(dir, e.Name()))
+	}
+	if len(files) == 0 {
+		return nil, nil, fmt.Errorf("serve: no model artifacts (*.json) in %s", dir)
+	}
+	// A task hands its error back in its result, never to Map: Map would
+	// stop at a corrupt c.json before the walk below could report a
+	// duplicate name carried by a.json and b.json.
+	type loaded struct {
+		m   *Model
+		err error
+	}
+	results, _ := engine.Map(0, len(files), func(i int) (loaded, error) {
+		a, scorer, raw, err := artifact.ReadFileModel(filepath.Join(dir, files[i]))
 		if err != nil {
-			return nil, nil, fmt.Errorf("serve: loading %s: %w", e.Name(), err)
+			return loaded{err: err}, nil
 		}
 		m, err := buildModel(a, scorer, raw)
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: loading %s: %w", e.Name(), err)
+		return loaded{m, err}, nil
+	})
+	models := make(map[string]*Model, len(files))
+	fileFor := make(map[string]string, len(files))
+	names := make([]string, 0, len(files))
+	for i, r := range results {
+		if r.err != nil {
+			return nil, nil, fmt.Errorf("serve: loading %s: %w", files[i], r.err)
 		}
-		name := m.Artifact.Name
+		name := r.m.Artifact.Name
 		if prev, dup := fileFor[name]; dup {
-			return nil, nil, fmt.Errorf("serve: %s and %s both carry model name %q", prev, e.Name(), name)
+			return nil, nil, fmt.Errorf("serve: %s and %s both carry model name %q", prev, files[i], name)
 		}
-		fileFor[name] = e.Name()
-		models[name] = m
+		fileFor[name] = files[i]
+		models[name] = r.m
 		names = append(names, name)
-	}
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("serve: no model artifacts (*.json) in %s", dir)
 	}
 	sort.Strings(names)
 	return models, names, nil

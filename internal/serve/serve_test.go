@@ -17,10 +17,12 @@ import (
 	"testing"
 
 	"roadcrash/internal/artifact"
+	"roadcrash/internal/core"
 	"roadcrash/internal/data"
 	"roadcrash/internal/geo"
 	"roadcrash/internal/mining/tree"
 	"roadcrash/internal/rng"
+	"roadcrash/internal/roadnet"
 )
 
 // fixture trains a small decision tree, persists it to dir and returns
@@ -591,6 +593,40 @@ func TestLoadDirErrors(t *testing.T) {
 	if _, err := NewRegistry().LoadDir(dup); err == nil {
 		t.Error("duplicate model names across files should fail the load")
 	}
+
+	// The files decode concurrently, but the error is the first one in
+	// file-name order: a duplicate name in a.json and b.json wins over a
+	// corrupt c.json, and of two corrupt files the first is named. Each
+	// directory loads repeatedly, so completion orders vary.
+	for _, tc := range []struct {
+		files map[string][]byte
+		want  []string
+		not   string
+	}{
+		{map[string][]byte{"a.json": src, "b.json": src, "c.json": []byte("{")}, []string{"a.json", "b.json"}, "c.json"},
+		{map[string][]byte{"a.json": src, "b.json": append(src[:len(src):len(src)], "x"...), "c.json": []byte("{")}, []string{"b.json"}, "c.json"},
+	} {
+		dir := t.TempDir()
+		for name, b := range tc.files {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			_, err := NewRegistry().LoadDir(dir)
+			if err == nil {
+				t.Fatalf("%v: load succeeded", tc.want)
+			}
+			for _, name := range tc.want {
+				if !strings.Contains(err.Error(), name) {
+					t.Fatalf("load %d: %v, want an error naming %v", i, err, tc.want)
+				}
+			}
+			if strings.Contains(err.Error(), tc.not) {
+				t.Fatalf("load %d: %v names %s, a later file", i, err, tc.not)
+			}
+		}
+	}
 }
 
 // TestRegistryLoadFile pins single-file registration: the loaded model
@@ -632,38 +668,80 @@ func TestRegistryLoadFile(t *testing.T) {
 // from. LoadDir and LoadFile hash the file and Register hashes the bytes
 // WriteFile writes, so all three agree on a file WriteFile wrote, while a
 // compact rendering of the same artifact loads and scores bit-identically
-// under a version of its own.
+// under a version of its own. A directory of several artifacts decodes
+// them concurrently, and each model it loads has the version and the
+// risk bits that LoadFile gives the same file.
 func TestVersionIsFileHash(t *testing.T) {
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)
 		return hex.EncodeToString(sum[:6])
 	}
+	probes := map[string][][]float64{
+		"cp-8-tree": {{2000, 1, data.Missing}, {900, 0, data.Missing}, {1600, 1, data.Missing}, {data.Missing, data.Missing, data.Missing}},
+		"grid-kde":  {{1.5, 1.5}, {10, 20}, {roadnet.ExtentKm / 2, roadnet.ExtentKm / 3}, {-1, 5}, {data.Missing, data.Missing}},
+	}
 	dir := t.TempDir()
 	a, _ := fixture(t, dir)
+	two := t.TempDir()
+	fixture(t, two)
+	writeKDE(t, two)
+	for _, d := range []string{dir, two} {
+		reg := NewRegistry()
+		if _, err := reg.LoadDir(d); err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(d, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != reg.Len() {
+			t.Fatalf("%s: %d files loaded as %d models", d, len(files), reg.Len())
+		}
+		for _, path := range files {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromFile, err := NewRegistry().LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fromFile.Artifact.Name
+			fromDir, ok := reg.Get(name)
+			if !ok {
+				t.Fatalf("%s: LoadDir did not load %s", d, name)
+			}
+			if fromDir.Version != hash(raw) || fromFile.Version != hash(raw) {
+				t.Errorf("%s: LoadDir version %s, LoadFile %s, want %s, the hash of the file's bytes",
+					name, fromDir.Version, fromFile.Version, hash(raw))
+			}
+			if len(probes[name]) == 0 {
+				t.Fatalf("no probe rows for %s", name)
+			}
+			for _, row := range probes[name] {
+				if got, want := fromDir.Scorer.PredictProb(row), fromFile.Scorer.PredictProb(row); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s row %v: LoadDir model scores %v, LoadFile %v", name, row, got, want)
+				}
+			}
+		}
+	}
+
 	path := filepath.Join(dir, "cp-8-tree.json")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := hash(raw)
-
-	reg := NewRegistry()
-	if _, err := reg.LoadDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	fromDir, _ := reg.Get(a.Name)
-	fromFile, err := NewRegistry().LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	registered, err := NewRegistry().Register(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for how, m := range map[string]*Model{"LoadDir": fromDir, "LoadFile": fromFile, "Register": registered} {
-		if m.Version != want {
-			t.Errorf("%s: version %s, want %s, the hash of the file's bytes", how, m.Version, want)
-		}
+	if registered.Version != want {
+		t.Errorf("Register: version %s, want %s, the hash of the file's bytes", registered.Version, want)
+	}
+	fromFile, err := NewRegistry().LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var compact bytes.Buffer
@@ -683,27 +761,50 @@ func TestVersionIsFileHash(t *testing.T) {
 		t.Errorf("compact rendering: version %s, want %s, its own bytes' hash, not %s",
 			cm.Version, hash(compact.Bytes()), want)
 	}
-	for _, row := range [][]float64{{2000, 1, data.Missing}, {900, 0, data.Missing}, {1600, 1, data.Missing}, {data.Missing, data.Missing, data.Missing}} {
-		if got, want := cm.Scorer.PredictProb(row), fromDir.Scorer.PredictProb(row); math.Float64bits(got) != math.Float64bits(want) {
+	for _, row := range probes[a.Name] {
+		if got, want := cm.Scorer.PredictProb(row), fromFile.Scorer.PredictProb(row); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("row %v: compact rendering scores %v, the written file %v", row, got, want)
 		}
 	}
 }
 
+// writeKDE writes a 32×32 KDE hotspot surface, fitted on a scenario
+// stream, to dir as grid-kde.json.
+func writeKDE(t testing.TB, dir string) {
+	t.Helper()
+	kde, err := artifact.New("grid-kde", artifact.KindHotspot, fitSurface(t, geo.MethodKDE, 1), geo.Schema(), 0, 42, "cell_label", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := artifact.WriteFile(filepath.Join(dir, "grid-kde.json"), kde); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // BenchmarkLoadDir measures one LoadDir of a directory holding the two
-// artifact kinds the repository benchmark serves, both written by
-// artifact.WriteFile: a decision tree and a 32×32 KDE hotspot surface.
-// That load is each replica's share of the benchmark's setup_s.
+// artifacts the repository benchmark serves, both written by
+// artifact.WriteFile: the small-scale study's phase-2 CP-8 decision tree,
+// which `crashprone export -scale small -threshold 8` writes, and a 32×32
+// KDE hotspot surface. That load is each replica's share of the
+// benchmark's setup_s. Its files decode concurrently: run it once with
+// -cpu 1 to time the load inline and once with -cpu 2 for two workers.
+// Give -cpu one value per run, because go1.24 runs a b.Loop benchmark's
+// whole loop before it applies the first value of a -cpu list, at the
+// list's last value.
 func BenchmarkLoadDir(b *testing.B) {
 	dir := b.TempDir()
-	fixture(b, dir)
-	kde, err := artifact.New("grid-kde", artifact.KindHotspot, fitSurface(b, geo.MethodKDE, 1), geo.Schema(), 0, 42, "cell_label", nil)
+	study, err := core.NewStudy(core.SmallConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := artifact.WriteFile(filepath.Join(dir, "grid-kde.json"), kde); err != nil {
+	a, err := study.ExportArtifact(core.ExportOptions{Phase: 2, Threshold: 8, Learner: "tree"})
+	if err != nil {
 		b.Fatal(err)
 	}
+	if err := artifact.WriteFile(filepath.Join(dir, a.Name+".json"), a); err != nil {
+		b.Fatal(err)
+	}
+	writeKDE(b, dir)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := NewRegistry().LoadDir(dir); err != nil {

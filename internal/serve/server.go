@@ -36,10 +36,10 @@ type Config struct {
 	// overload degrades crisply instead of queueing into timeouts. Probe
 	// and admin endpoints are exempt. Default 256.
 	MaxInFlight int
-	// RequestTimeout bounds a whole /score request: the connection read
-	// and write deadlines are set this far ahead when handling starts, so
-	// a slow-sending or slow-reading client cannot hold a worker open.
-	// Default 30s.
+	// RequestTimeout bounds a whole /score or /feedback request: the
+	// connection read and write deadlines are set this far ahead when
+	// handling starts, so a slow-sending or slow-reading client cannot
+	// hold a worker open. Default 30s.
 	RequestTimeout time.Duration
 	// StreamTimeout is the progress deadline of /score/stream: every body
 	// read that delivers bytes and every flushed chunk push the
@@ -500,21 +500,23 @@ func (s *Server) handleReloadAbort(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"aborted": had})
 }
 
+// setDeadlines sets the connection's read and write deadlines to t; the
+// zero time clears them. Errors are ignored: a transport without deadline
+// support (ErrNotSupported) still serves correctly, just unguarded.
+func setDeadlines(rc *http.ResponseController, t time.Time) {
+	rc.SetReadDeadline(t)
+	rc.SetWriteDeadline(t)
+}
+
 func (s *Server) handleScore(w http.ResponseWriter, req *http.Request) {
 	// One deadline covers reading the body and writing the response, so a
-	// slowloris client cannot hold the worker past RequestTimeout. Errors
-	// are ignored: a transport without deadline support (ErrNotSupported)
-	// still serves correctly, just unguarded. The deadlines are reset on
-	// the way out — a pooled keep-alive connection must not inherit this
-	// request's deadline as an accidental idle timeout.
+	// slowloris client cannot hold the worker past RequestTimeout. The
+	// deadlines are reset on the way out — a pooled keep-alive connection
+	// must not inherit this request's deadline as an accidental idle
+	// timeout.
 	rc := http.NewResponseController(w)
-	deadline := time.Now().Add(s.cfg.RequestTimeout)
-	rc.SetReadDeadline(deadline)
-	rc.SetWriteDeadline(deadline)
-	defer func() {
-		rc.SetReadDeadline(time.Time{})
-		rc.SetWriteDeadline(time.Time{})
-	}()
+	setDeadlines(rc, time.Now().Add(s.cfg.RequestTimeout))
+	defer setDeadlines(rc, time.Time{})
 
 	// The fast path: the body is read whole into a pooled buffer, parsed by
 	// the hand-rolled ScoreRequest parser straight into a columnar batch
@@ -639,17 +641,10 @@ func (s *Server) streamScores(w http.ResponseWriter, name string, m *Model, req 
 	// so an ErrNotSupported here is fine to ignore.
 	rc := http.NewResponseController(w)
 	rc.EnableFullDuplex()
-	extend := func() {
-		deadline := time.Now().Add(s.cfg.StreamTimeout)
-		rc.SetReadDeadline(deadline)
-		rc.SetWriteDeadline(deadline)
-	}
+	extend := func() { setDeadlines(rc, time.Now().Add(s.cfg.StreamTimeout)) }
 	extend()
-	defer func() {
-		// As in handleScore: keep-alive connections outlive the stream.
-		rc.SetReadDeadline(time.Time{})
-		rc.SetWriteDeadline(time.Time{})
-	}()
+	// As in handleScore: keep-alive connections outlive the stream.
+	defer setDeadlines(rc, time.Time{})
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	body := &extendingReader{r: req.Body, extend: extend}
